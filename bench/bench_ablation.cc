@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
                               : ServiceDiscipline::kTwoChannel);
       MultiEngineOptions mopt;
       mopt.drain_slots = 32;
-      const MultiRunResult r = RunMultiSession(traces, sys, mopt);
+      const MultiRunResult r = RunMultiSessionEvent(traces, sys, mopt);
       table.AddRow({fifo ? "fifo-combined" : "two-channel",
                     Table::Num(r.delay.max_delay()),
                     Table::Num(r.delay.MeanDelay(), 2),

@@ -2,11 +2,10 @@
 // as a function of the checkpoint interval.
 //
 // One rotating-hotspot multi-session cell (k=4, B_O=64, D_O=8) runs with
-// in-memory checkpoint capture at intervals {off, 512, 128, 32} on the
-// naive engine, {off, 128} on the event engine, plus one on-disk cell
-// (atomic temp+rename to a real file every 128 slots). Reported per
-// config: ns/slot, the overhead percentage against the checkpoint-free
-// run of the same engine, and the serialized blob size. Wall-clock rows
+// in-memory checkpoint capture at intervals {off, 512, 128, 32}, plus one
+// on-disk cell (atomic temp+rename to a real file every 128 slots).
+// Reported per config: ns/slot, the overhead percentage against the
+// checkpoint-free run, and the serialized blob size. Wall-clock rows
 // are informational (bench_diff gates throughput only under
 // --max-slowdown); the deterministic rows pin the blob size under a hard
 // cap and the final checkpoint's resume slot to exactly the last interval
@@ -19,6 +18,8 @@
 #include <iostream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "analysis/table.h"
 #include "core/multi_phased.h"
@@ -37,7 +38,6 @@ constexpr Time kDo = 8;
 struct Config {
   const char* label;
   Time every;  // 0 = checkpointing off
-  bool event;  // event-driven engine instead of the naive slot loop
   bool disk;   // publish to a real file, not just the capture buffer
 };
 
@@ -70,13 +70,9 @@ CellOut RunCell(const Config& cfg, Time horizon,
     }
   }
 
+  const SparseMultiTrace sparse = SparseMultiTrace::FromDense(traces);
   const auto start = std::chrono::steady_clock::now();
-  if (cfg.event) {
-    const SparseMultiTrace sparse = SparseMultiTrace::FromDense(traces);
-    (void)RunMultiSessionEvent(sparse, sys, opt);
-  } else {
-    (void)RunMultiSession(traces, sys, opt);
-  }
+  (void)RunMultiSessionEvent(sparse, sys, opt);
   const double ns = std::chrono::duration<double, std::nano>(
                         std::chrono::steady_clock::now() - start)
                         .count();
@@ -95,15 +91,16 @@ CellOut RunCell(const Config& cfg, Time horizon,
 int main(int argc, char** argv) {
   bench::Reporter rep("checkpoint", &argc, argv);
   const Time horizon = rep.quick() ? 4000 : 20000;
+  // Per-run directory: concurrent runs (ctest -j) must not share it.
   const std::filesystem::path disk_dir =
-      std::filesystem::temp_directory_path() / "bwalloc_bench_checkpoint";
+      std::filesystem::temp_directory_path() /
+      ("bwalloc_bench_checkpoint." + std::to_string(::getpid()));
   std::filesystem::create_directories(disk_dir);
 
   const std::vector<Config> configs = {
-      {"naive,off", 0, false, false},   {"naive,512", 512, false, false},
-      {"naive,128", 128, false, false}, {"naive,32", 32, false, false},
-      {"naive,128,disk", 128, false, true},
-      {"event,off", 0, true, false},    {"event,128", 128, true, false},
+      {"ckpt,off", 0, false},  {"ckpt,512", 512, false},
+      {"ckpt,128", 128, false}, {"ckpt,32", 32, false},
+      {"ckpt,128,disk", 128, true},
   };
 
   std::vector<CellOut> cells;
@@ -116,11 +113,10 @@ int main(int argc, char** argv) {
   rep.CountWork(static_cast<std::int64_t>(configs.size()) * horizon,
                 static_cast<std::int64_t>(configs.size()));
 
-  // Checkpoint-free reference per engine, for the overhead column.
-  double base[2] = {0, 0};
+  // Checkpoint-free reference, for the overhead column.
+  double ref = 0;
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (configs[i].every == 0) base[configs[i].event ? 1 : 0] =
-        cells[i].ns_per_slot;
+    if (configs[i].every == 0) ref = cells[i].ns_per_slot;
   }
 
   Table table({"config", "every", "ns/slot", "overhead %", "blob KiB",
@@ -128,7 +124,6 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const Config& c = configs[i];
     const CellOut& o = cells[i];
-    const double ref = base[c.event ? 1 : 0];
     const double overhead =
         c.every > 0 && ref > 0 ? 100.0 * (o.ns_per_slot / ref - 1.0) : 0.0;
     const double blob_kib = static_cast<double>(o.blob_bytes) / 1024.0;
@@ -142,7 +137,7 @@ int main(int argc, char** argv) {
     // counters, meters) must stay small, and the rolling checkpoint's
     // resume slot must land on the last interval boundary exactly.
     rep.RowMax(c.label, "blob_kib", blob_kib, 256.0);
-    // The engines keep checkpointing through the drain tail, so the last
+    // The engine keeps checkpointing through the drain tail, so the last
     // boundary is relative to horizon + drain_slots.
     const Time total_slots = horizon + 8 * kDo;
     const double expect_slot =

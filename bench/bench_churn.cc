@@ -78,7 +78,8 @@ CellOut RunCell(const Config& cfg, Time horizon) {
   opt.drain_slots = 8 * kDo;
 
   const auto start = std::chrono::steady_clock::now();
-  const MultiRunResult r = RunMultiSession(plan.MaterializeTraces(), sys, opt);
+  const MultiRunResult r =
+      RunMultiSessionEvent(plan.MaterializeTraces(), sys, opt);
   const double ns = std::chrono::duration<double, std::nano>(
                         std::chrono::steady_clock::now() - start)
                         .count();

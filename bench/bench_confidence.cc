@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
         PhasedMulti sys(p);
         MultiEngineOptions opt;
         opt.drain_slots = 32;
-        const MultiRunResult r = RunMultiSession(traces, sys, opt);
+        const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
         const MultiOfflineSchedule offline =
             GreedyMultiSchedule(traces, bo, 8);
         if (offline.feasible && offline.local_changes() > 0) {

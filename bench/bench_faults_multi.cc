@@ -105,7 +105,7 @@ MultiRunResult RunOne(const std::vector<std::vector<Bits>>& traces,
                                     mopts);
   MultiEngineOptions opt;
   opt.drain_slots = 8 * kDo + 64 * kHops;
-  MultiRunResult r = RunMultiSession(traces, adapter, opt);
+  MultiRunResult r = RunMultiSessionEvent(traces, adapter, opt);
   r.faults = adapter.fault_stats();
   r.per_session_faults = adapter.per_session_fault_stats();
   return r;

@@ -8,16 +8,12 @@
 // hysteresis band. Sweep each knob at a fixed delay target and print the
 // frontier each policy traces in (changes per kslot, global utilization)
 // space, with the clairvoyant greedy as the reference point.
-// The second half is the event-engine scale frontier: the phased
-// multi-session algorithm driven by RunMultiSessionEvent over heavy-tail
-// Pareto-burst sparse traces, from 1k up to 1M sessions. The headline
-// metric is ns per slot per *active* session (cell wall time divided by
-// the engine's touched_session_slots counter) — the quantity the
-// event-driven design holds flat while naive per-slot cost grows with k.
-// At small k the naive engine runs the same trace as a comparator: its
-// MultiRunResult must match the event engine's exactly (the differential
-// contract), and its ns/slot/active column shows the gap the sparse
-// engine buys.
+// The second half is the engine scale frontier: the phased multi-session
+// algorithm driven by RunMultiSessionEvent over heavy-tail Pareto-burst
+// sparse traces, from 1k up to 1M sessions. The headline metric is ns per
+// slot per *active* session (cell wall time divided by the engine's
+// touched_session_slots counter) — the quantity the event-driven design
+// holds flat while k grows.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -143,15 +139,12 @@ int main(int argc, char** argv) {
   table.PrintAscii(std::cout);
   rep.Save("frontier", table);
 
-  // --- event-engine scale frontier ---------------------------------------
+  // --- engine scale frontier ----------------------------------------------
   // Phased multi-session algorithm on heavy-tail sparse bursts, 1k -> 1M
-  // sessions. The event engine's cost is charged per *touched* session-
-  // slot; the naive comparator (small k only — it materializes the dense
-  // k x horizon matrix) pays for every session every slot and must still
-  // produce the identical MultiRunResult.
+  // sessions. The engine's cost is charged per *touched* session-slot.
   {
-    Table scale({"k", "engine", "slots", "touched sess-slots",
-                 "ns/slot/active", "local changes"});
+    Table scale({"k", "slots", "touched sess-slots", "ns/slot/active",
+                 "local changes"});
     const std::vector<std::int64_t> ks =
         rep.quick() ? std::vector<std::int64_t>{1024, 8192}
                     : std::vector<std::int64_t>{1024, 16384, 262144, 1048576};
@@ -176,17 +169,17 @@ int main(int argc, char** argv) {
 
       EventEngineStats stats;
       eopt.event_stats = &stats;
-      PhasedMulti event_sys(p);
+      PhasedMulti sys(p);
       const std::string elabel = "event,k=" + Table::Num(k);
       MultiRunResult er;
       {
         ScopedTimer timer(&prof, elabel.c_str());
-        er = RunMultiSessionEvent(sparse, event_sys, eopt);
+        er = RunMultiSessionEvent(sparse, sys, eopt);
       }
       const double ens = static_cast<double>(prof.phases().at(elabel).ns);
       const double etouched =
           std::max(static_cast<double>(stats.touched_session_slots), 1.0);
-      scale.AddRow({Table::Num(k), "event", Table::Num(scale_horizon),
+      scale.AddRow({Table::Num(k), Table::Num(scale_horizon),
                     Table::Num(stats.touched_session_slots),
                     Table::Num(ens / etouched, 1),
                     Table::Num(er.local_changes)});
@@ -195,44 +188,9 @@ int main(int argc, char** argv) {
                   static_cast<double>(stats.touched_session_slots));
       rep.RowInfo(elabel, "cell_ns", ens);
       rep.CountWork(scale_horizon, 1);
-
-      if (k <= 16384) {
-        std::vector<std::vector<Bits>> dense(
-            static_cast<std::size_t>(k),
-            std::vector<Bits>(static_cast<std::size_t>(scale_horizon), 0));
-        for (Time t = 0; t < sparse.horizon; ++t) {
-          for (const SessionArrival& a : sparse.Slot(t)) {
-            dense[static_cast<std::size_t>(a.session)]
-                 [static_cast<std::size_t>(t)] = a.bits;
-          }
-        }
-        PhasedMulti naive_sys(p);
-        MultiEngineOptions nopt;
-        nopt.drain_slots = eopt.drain_slots;
-        const std::string nlabel = "naive,k=" + Table::Num(k);
-        MultiRunResult nr;
-        {
-          ScopedTimer timer(&prof, nlabel.c_str());
-          nr = RunMultiSession(dense, naive_sys, nopt);
-        }
-        const double nns = static_cast<double>(prof.phases().at(nlabel).ns);
-        const double ntouched = static_cast<double>(k) *
-                                static_cast<double>(scale_horizon +
-                                                    nopt.drain_slots);
-        scale.AddRow({Table::Num(k), "naive", Table::Num(scale_horizon),
-                      Table::Num(static_cast<std::int64_t>(ntouched)),
-                      Table::Num(nns / ntouched, 1),
-                      Table::Num(nr.local_changes)});
-        rep.RowInfo(nlabel, "ns_per_slot_per_active_session", nns / ntouched);
-        rep.RowInfo(nlabel, "cell_ns", nns);
-        // The differential contract, enforced in the bench too: identical
-        // results or the telemetry gate fails the run.
-        rep.RowMax(nlabel, "result_mismatch", nr == er ? 0.0 : 1.0, 0.0);
-        rep.CountWork(scale_horizon, 1);
-      }
     }
-    std::printf("\n== FRONTIER scale: event engine vs naive, phased "
-                "algorithm, Pareto bursts ==\n");
+    std::printf("\n== FRONTIER scale: phased algorithm, Pareto bursts "
+                "==\n");
     scale.PrintAscii(std::cout);
     rep.Save("frontier_scale", scale);
   }

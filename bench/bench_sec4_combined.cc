@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       MultiEngineOptions opt;
       opt.drain_slots = 8 * kDo;
       opt.utilization_scan_window = p.window + 5 * kDo;
-      const MultiRunResult r = RunMultiSession(traces, sys, opt);
+      const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
       rep.CountWork(horizon, 1);
 
       const double glob_per_stage =

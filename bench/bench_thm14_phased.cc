@@ -48,7 +48,7 @@ CellOut RunCell(std::int64_t k, Time horizon) {
   opt.drain_slots = 4 * kDo;
 
   CellOut out;
-  out.run = RunMultiSession(traces, sys, opt);
+  out.run = RunMultiSessionEvent(traces, sys, opt);
   const MultiOfflineSchedule offline = GreedyMultiSchedule(traces, bo, kDo);
   out.off_changes =
       offline.feasible ? std::max<std::int64_t>(1, offline.local_changes())

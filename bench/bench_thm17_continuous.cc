@@ -73,10 +73,10 @@ int main(int argc, char** argv) {
           const auto traces = TracesFor(k, horizon);
           if (continuous) {
             ContinuousMulti sys(p);
-            return RunMultiSession(traces, sys, opt);
+            return RunMultiSessionEvent(traces, sys, opt);
           }
           PhasedMulti sys(p);
-          return RunMultiSession(traces, sys, opt);
+          return RunMultiSessionEvent(traces, sys, opt);
         });
   }
   rep.CountWork(3 * n * horizon, 3 * n);

@@ -47,7 +47,7 @@ int main() {
 
   {
     PhasedMulti phased(params, ServiceDiscipline::kFifoCombined);
-    const MultiRunResult r = RunMultiSession(traffic, phased, options);
+    const MultiRunResult r = RunMultiSessionEvent(traffic, phased, options);
     table.AddRow({"phased (Fig.4)", "4 B_O",
                   Table::Num(r.delay.max_delay()),
                   Table::Num(r.delay.Percentile(0.99)),
@@ -57,7 +57,7 @@ int main() {
   }
   {
     ContinuousMulti continuous(params, ServiceDiscipline::kFifoCombined);
-    const MultiRunResult r = RunMultiSession(traffic, continuous, options);
+    const MultiRunResult r = RunMultiSessionEvent(traffic, continuous, options);
     table.AddRow({"continuous (Fig.5)", "5 B_O",
                   Table::Num(r.delay.max_delay()),
                   Table::Num(r.delay.Percentile(0.99)),

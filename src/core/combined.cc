@@ -34,13 +34,55 @@ void CombinedOnline::StartGlobalStage(Time ts) {
   b_on_ = 0;  // nothing has arrived this stage: reserve nothing
 }
 
+void CombinedOnline::OnSessionJoin(Time /*now*/, std::int64_t session) {
+  active_[static_cast<std::size_t>(session)] = 1;
+  // Mid-run join: hand the session the current share directly, as the
+  // local-stage start would have. Pre-run joins wait for the first stage.
+  if (started_) {
+    channels_.SetRegular(session, share_);
+  }
+}
+
+Bits CombinedOnline::OnSessionDepart(Time /*now*/, std::int64_t session) {
+  active_[static_cast<std::size_t>(session)] = 0;
+  channels_.SetRegular(session, Bandwidth::Zero());
+  channels_.SetOverflow(session, Bandwidth::Zero());
+  // Outstanding continuous-inner REDUCE leases must never fire for a
+  // departed session — the overflow allocation they would return was just
+  // zeroed.
+  reduce_wheel_.CancelWhere(
+      [session](const Reduction& red) { return red.session == session; });
+  return channels_.DropSession(session);
+}
+
+// A session outside the hot set has empty queues, zero overflow allocation,
+// and regular allocation equal to the *current* share_. All local-stage and
+// GLOBAL RESET actions are value-preserving no-ops on such sessions — with
+// one exception: when share_ itself changes (a B_on level change or a
+// GLOBAL RESET zeroing B_on), every session's regular allocation moves to a
+// genuinely new value. StartLocalStage therefore refills the hot set with
+// every session exactly when the incoming share differs, preserving the
+// invariant for everyone else.
+
+bool CombinedOnline::Quiescent(std::int64_t i) const {
+  if (!Active(i)) return true;
+  return channels_.regular_queue_size(i) == 0 &&
+         channels_.overflow_queue_size(i) == 0 &&
+         channels_.overflow_bw(i).raw() == 0 &&
+         channels_.regular_bw(i).raw() == share_.raw();
+}
+
 void CombinedOnline::StartLocalStage(Time now, bool shunt_regular) {
   tracer_.Emit(TraceEventType::kStageStart, now, -1, completed_local_stages_);
   // Overflow allocations are recomputed wholesale below; pending
   // continuous-inner leases would double-subtract.
-  reductions_.clear();
-  share_ = Bandwidth::FromBitsPerSlot(b_on_) / params_.sessions;
-  for (std::int64_t i = 0; i < params_.sessions; ++i) {
+  reduce_wheel_.Clear();
+  const Bandwidth new_share =
+      Bandwidth::FromBitsPerSlot(b_on_) / params_.sessions;
+  if (new_share.raw() != share_.raw()) hot_.Fill();
+  share_ = new_share;
+  hot_.SortAscending();
+  for (const std::int64_t i : hot_.items()) {
     if (!Active(i)) continue;
     if (shunt_regular && channels_.regular_queue_size(i) > 0) {
       channels_.MoveRegularToOverflow(i);
@@ -54,13 +96,15 @@ void CombinedOnline::StartLocalStage(Time now, bool shunt_regular) {
     }
     channels_.SetRegular(i, share_);
   }
+  hot_.FilterInPlace([&](std::int64_t i) { return !Quiescent(i); });
   next_phase_ = now + params_.offline_delay;
 }
 
 void CombinedOnline::PhaseBoundary(Time now) {
   const bool trace_shunts = tracer_.enabled(TraceEventType::kOverflowShunt);
+  hot_.SortAscending();
   std::int64_t overloaded = 0;
-  for (std::int64_t i = 0; i < params_.sessions; ++i) {
+  for (const std::int64_t i : hot_.items()) {
     if (!Active(i)) continue;
     if (!RegularOverloaded(i)) {
       channels_.SetOverflow(i, Bandwidth::Zero());
@@ -84,6 +128,8 @@ void CombinedOnline::PhaseBoundary(Time now) {
                  completed_local_stages_);
     ++completed_local_stages_;
     StartLocalStage(now, /*shunt_regular=*/true);
+  } else {
+    hot_.FilterInPlace([&](std::int64_t i) { return !Quiescent(i); });
   }
 }
 
@@ -94,7 +140,8 @@ void CombinedOnline::ShuntWithLease(Time now, std::int64_t i) {
   channels_.MoveRegularToOverflow(i);
   const Bandwidth lease = Bandwidth::CeilDiv(q, params_.offline_delay);
   channels_.AddOverflow(i, lease);
-  reductions_[now + params_.offline_delay].push_back({i, lease});
+  reduce_wheel_.ScheduleAt(now + params_.offline_delay + perturb_wakeups_,
+                           {i, lease});
 }
 
 void CombinedOnline::ContinuousTest(Time now, std::int64_t i) {
@@ -110,18 +157,10 @@ void CombinedOnline::ContinuousTest(Time now, std::int64_t i) {
   }
 }
 
-void CombinedOnline::ApplyReductions(Time now) {
-  const auto it = reductions_.find(now);
-  if (it == reductions_.end()) return;
-  for (const Reduction& r : it->second) {
-    channels_.AddOverflow(r.session, Bandwidth::Zero() - r.amount);
-  }
-  reductions_.erase(it);
-}
-
 void CombinedOnline::GlobalReset(Time now) {
-  reductions_.clear();
-  for (std::int64_t i = 0; i < params_.sessions; ++i) {
+  reduce_wheel_.Clear();
+  hot_.SortAscending();
+  for (const std::int64_t i : hot_.items()) {
     if (!Active(i)) continue;
     channels_.DrainSessionInto(i, global_queue_);
     channels_.SetOverflow(i, Bandwidth::Zero());
@@ -137,12 +176,8 @@ void CombinedOnline::GlobalReset(Time now) {
   StartLocalStage(now, /*shunt_regular=*/false);
 }
 
-void CombinedOnline::Step(Time now, std::span<const Bits> arrivals) {
-  BW_REQUIRE(static_cast<std::int64_t>(arrivals.size()) == params_.sessions,
-             "CombinedOnline::Step: arrival vector size mismatch");
-  BW_CHECK(mode_ != StepMode::kSparse,
-           "CombinedOnline: dense Step after sparse stepping");
-  mode_ = StepMode::kDense;
+void CombinedOnline::StepSparse(Time now,
+                                std::span<const SessionArrival> arrivals) {
   if (!started_) {
     started_ = true;
     StartGlobalStage(now);
@@ -150,7 +185,7 @@ void CombinedOnline::Step(Time now, std::span<const Bits> arrivals) {
   }
 
   Bits total_in = 0;
-  for (const Bits a : arrivals) total_in += a;
+  for (const SessionArrival& a : arrivals) total_in += a.bits;
 
   // Global envelopes over the aggregate stream (same conventions as the
   // single-session algorithm: low excludes slot-t arrivals, high includes).
@@ -177,232 +212,6 @@ void CombinedOnline::Step(Time now, std::span<const Bits> arrivals) {
 
   // Inner multi-session machinery.
   if (params_.continuous_inner) {
-    if (!global_reset) ApplyReductions(now);
-    for (std::int64_t i = 0; i < params_.sessions; ++i) {
-      channels_.Enqueue(i, now, arrivals[static_cast<std::size_t>(i)]);
-      if (!global_reset && arrivals[static_cast<std::size_t>(i)] > 0) {
-        ContinuousTest(now, i);
-      }
-    }
-  } else {
-    if (!global_reset && now == next_phase_) {
-      PhaseBoundary(now);
-      if (now == next_phase_) next_phase_ = now + params_.offline_delay;
-    }
-    for (std::int64_t i = 0; i < params_.sessions; ++i) {
-      channels_.Enqueue(i, now, arrivals[static_cast<std::size_t>(i)]);
-    }
-  }
-  channels_.ServeSlot(now);
-
-  // Global overflow channel: 2 B_O while draining a GLOBAL RESET's queue.
-  global_bw_ = global_queue_.empty()
-                   ? Bandwidth::Zero()
-                   : Bandwidth::FromBitsPerSlot(2 * params_.offline_bandwidth);
-  global_delivered_ += global_queue_.ServeSlot(now, global_bw_, &global_delay_);
-}
-
-void CombinedOnline::OnSessionJoin(Time /*now*/, std::int64_t session) {
-  active_[static_cast<std::size_t>(session)] = 1;
-  // Mid-run join: hand the session the current share directly, as the
-  // local-stage start would have. Pre-run joins wait for the first stage.
-  if (started_) {
-    channels_.SetRegular(session, share_);
-  }
-}
-
-Bits CombinedOnline::OnSessionDepart(Time /*now*/, std::int64_t session) {
-  active_[static_cast<std::size_t>(session)] = 0;
-  channels_.SetRegular(session, Bandwidth::Zero());
-  channels_.SetOverflow(session, Bandwidth::Zero());
-  // Outstanding continuous-inner REDUCE leases must never fire for a
-  // departed session — the overflow allocation they would return was just
-  // zeroed. Both lease stores are swept; only the one matching the step
-  // mode is non-empty.
-  for (auto it = reductions_.begin(); it != reductions_.end();) {
-    std::erase_if(it->second, [session](const Reduction& red) {
-      return red.session == session;
-    });
-    it = it->second.empty() ? reductions_.erase(it) : std::next(it);
-  }
-  reduce_wheel_.CancelWhere(
-      [session](const Reduction& red) { return red.session == session; });
-  return channels_.DropSession(session);
-}
-
-// --- event-driven path -------------------------------------------------------
-//
-// A session outside the hot set has empty queues, zero overflow allocation,
-// and regular allocation equal to the *current* share_. All local-stage and
-// GLOBAL RESET actions are value-preserving no-ops on such sessions — with
-// one exception: when share_ itself changes (a B_on level change, a GLOBAL
-// RESET zeroing B_on, or the very first stage), the naive path rewrites
-// every session's regular allocation to a genuinely new value. The sparse
-// StartLocalStage therefore falls back to the full-k loop exactly when the
-// incoming share differs, preserving the invariant for everyone else.
-
-bool CombinedOnline::Quiescent(std::int64_t i) const {
-  if (!Active(i)) return true;
-  return channels_.regular_queue_size(i) == 0 &&
-         channels_.overflow_queue_size(i) == 0 &&
-         channels_.overflow_bw(i).raw() == 0 &&
-         channels_.regular_bw(i).raw() == share_.raw();
-}
-
-void CombinedOnline::StartLocalStageEvent(Time now, bool shunt_regular) {
-  tracer_.Emit(TraceEventType::kStageStart, now, -1, completed_local_stages_);
-  reduce_wheel_.Clear();  // same role as the dense path's reductions_.clear()
-  const Bandwidth new_share =
-      Bandwidth::FromBitsPerSlot(b_on_) / params_.sessions;
-  const bool share_changed = new_share.raw() != share_.raw();
-  share_ = new_share;
-  if (share_changed) {
-    for (std::int64_t i = 0; i < params_.sessions; ++i) {
-      if (!Active(i)) continue;
-      if (shunt_regular && channels_.regular_queue_size(i) > 0) {
-        channels_.MoveRegularToOverflow(i);
-      }
-      if (channels_.overflow_queue_size(i) > 0) {
-        channels_.SetOverflow(
-            i, Bandwidth::CeilDiv(channels_.overflow_queue_size(i),
-                                  params_.offline_delay));
-      } else {
-        channels_.SetOverflow(i, Bandwidth::Zero());
-      }
-      channels_.SetRegular(i, share_);
-    }
-  } else {
-    hot_.SortAscending();
-    for (const std::int64_t i : hot_.items()) {
-      if (!Active(i)) continue;
-      if (shunt_regular && channels_.regular_queue_size(i) > 0) {
-        channels_.MoveRegularToOverflow(i);
-      }
-      if (channels_.overflow_queue_size(i) > 0) {
-        channels_.SetOverflow(
-            i, Bandwidth::CeilDiv(channels_.overflow_queue_size(i),
-                                  params_.offline_delay));
-      } else {
-        channels_.SetOverflow(i, Bandwidth::Zero());
-      }
-      channels_.SetRegular(i, share_);
-    }
-  }
-  hot_.FilterInPlace([&](std::int64_t i) { return !Quiescent(i); });
-  next_phase_ = now + params_.offline_delay;
-}
-
-void CombinedOnline::PhaseBoundaryEvent(Time now) {
-  const bool trace_shunts = tracer_.enabled(TraceEventType::kOverflowShunt);
-  hot_.SortAscending();
-  std::int64_t overloaded = 0;
-  for (const std::int64_t i : hot_.items()) {
-    if (!Active(i)) continue;
-    if (!RegularOverloaded(i)) {
-      channels_.SetOverflow(i, Bandwidth::Zero());
-    } else {
-      ++overloaded;
-      channels_.SetRegular(i, channels_.regular_bw(i) + share_);
-      if (trace_shunts) {
-        tracer_.Emit(TraceEventType::kOverflowShunt, now, i,
-                     channels_.regular_queue_size(i));
-      }
-      channels_.MoveRegularToOverflow(i);
-      channels_.SetOverflow(
-          i, Bandwidth::CeilDiv(channels_.overflow_queue_size(i),
-                                params_.offline_delay));
-    }
-  }
-  tracer_.Emit(TraceEventType::kPhaseBoundary, now, -1, overloaded);
-  const Bandwidth cap = Bandwidth::FromBitsPerSlot(2 * b_on_);
-  if (channels_.TotalRegular() > cap) {
-    tracer_.Emit(TraceEventType::kStageCertified, now, -1,
-                 completed_local_stages_);
-    ++completed_local_stages_;
-    StartLocalStageEvent(now, /*shunt_regular=*/true);
-  } else {
-    hot_.FilterInPlace([&](std::int64_t i) { return !Quiescent(i); });
-  }
-}
-
-void CombinedOnline::ShuntWithLeaseEvent(Time now, std::int64_t i) {
-  const Bits q = channels_.regular_queue_size(i);
-  if (q == 0) return;
-  tracer_.Emit(TraceEventType::kOverflowShunt, now, i, q);
-  channels_.MoveRegularToOverflow(i);
-  const Bandwidth lease = Bandwidth::CeilDiv(q, params_.offline_delay);
-  channels_.AddOverflow(i, lease);
-  reduce_wheel_.ScheduleAt(now + params_.offline_delay + perturb_wakeups_,
-                           {i, lease});
-}
-
-void CombinedOnline::ContinuousTestEvent(Time now, std::int64_t i) {
-  if (!RegularOverloaded(i)) return;
-  channels_.SetRegular(i, channels_.regular_bw(i) + share_);
-  ShuntWithLeaseEvent(now, i);
-  const Bandwidth cap = Bandwidth::FromBitsPerSlot(2 * b_on_);
-  if (channels_.TotalRegular() > cap) {
-    tracer_.Emit(TraceEventType::kStageCertified, now, -1,
-                 completed_local_stages_);
-    ++completed_local_stages_;
-    StartLocalStageEvent(now, /*shunt_regular=*/true);
-  }
-}
-
-void CombinedOnline::GlobalResetEvent(Time now) {
-  reduce_wheel_.Clear();
-  hot_.SortAscending();
-  for (const std::int64_t i : hot_.items()) {
-    if (!Active(i)) continue;
-    channels_.DrainSessionInto(i, global_queue_);
-    channels_.SetOverflow(i, Bandwidth::Zero());
-  }
-  if (global_queue_.size() > peak_global_queue_) {
-    peak_global_queue_ = global_queue_.size();
-  }
-  tracer_.Emit(TraceEventType::kGlobalReset, now, -1, global_queue_.size());
-  ++completed_global_stages_;
-  ++completed_local_stages_;  // the local stage ends with the global one
-  StartGlobalStage(now + 1);
-  StartLocalStageEvent(now, /*shunt_regular=*/false);
-}
-
-void CombinedOnline::StepSparse(Time now,
-                                std::span<const SessionArrival> arrivals) {
-  BW_CHECK(mode_ != StepMode::kDense,
-           "CombinedOnline: sparse Step after dense stepping");
-  mode_ = StepMode::kSparse;
-  if (!started_) {
-    started_ = true;
-    StartGlobalStage(now);
-    StartLocalStageEvent(now, /*shunt_regular=*/false);
-  }
-
-  Bits total_in = 0;
-  for (const SessionArrival& a : arrivals) total_in += a.bits;
-
-  bool global_reset = false;
-  {
-    const Ratio low = low_tracker_.LowAt(now);
-    high_tracker_.RecordArrivals(now, total_in);
-    const Ratio high = high_tracker_.HighAt();
-    low_tracker_.RecordArrivals(total_in);
-
-    if (high < low || Ratio(params_.offline_bandwidth, 1) < low) {
-      GlobalResetEvent(now);
-      global_reset = true;
-    } else if (!low.is_zero()) {
-      const Bits level = CeilPowerOfTwoAtLeast(low);
-      if (level > b_on_) {
-        tracer_.Emit(TraceEventType::kLevelChange, now, -1, b_on_, level);
-        b_on_ = level;
-        ++completed_local_stages_;
-        StartLocalStageEvent(now, /*shunt_regular=*/true);
-      }
-    }
-  }
-
-  if (params_.continuous_inner) {
     if (!global_reset) {
       reduce_wheel_.PopDue(now, [&](const Reduction& r) {
         channels_.AddOverflow(r.session, Bandwidth::Zero() - r.amount);
@@ -412,12 +221,12 @@ void CombinedOnline::StepSparse(Time now,
       channels_.Enqueue(a.session, now, a.bits);
       if (a.bits > 0) {
         hot_.Add(a.session);
-        if (!global_reset) ContinuousTestEvent(now, a.session);
+        if (!global_reset) ContinuousTest(now, a.session);
       }
     }
   } else {
     if (!global_reset && now == next_phase_ + perturb_wakeups_) {
-      PhaseBoundaryEvent(now);
+      PhaseBoundary(now);
       if (now == next_phase_ + perturb_wakeups_) {
         next_phase_ = now + params_.offline_delay;
       }
@@ -429,6 +238,7 @@ void CombinedOnline::StepSparse(Time now,
   }
   channels_.ServeActiveSlot(now);
 
+  // Global overflow channel: 2 B_O while draining a GLOBAL RESET's queue.
   global_bw_ = global_queue_.empty()
                    ? Bandwidth::Zero()
                    : Bandwidth::FromBitsPerSlot(2 * params_.offline_bandwidth);

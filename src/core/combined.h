@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/high_tracker.h"
@@ -54,17 +53,18 @@ class CombinedOnline final : public MultiSessionSystem {
       const CombinedParams& params,
       ServiceDiscipline discipline = ServiceDiscipline::kTwoChannel);
 
-  void Step(Time now, std::span<const Bits> arrivals) override;
-  // Event-driven path: the global trackers need only the slot's aggregate
-  // demand (an O(1) sum over the sparse arrivals); the inner machinery
-  // touches the hot set, except that a share change (B_on level change or
-  // GLOBAL RESET) re-runs the full-k local-stage start, exactly where the
-  // naive path changes every session's value anyway. Behaviorally
-  // identical to Step (differentially tested).
-  bool SupportsSparseStep() const override { return true; }
+  // The global trackers need only the slot's aggregate demand (a sum over
+  // the sparse arrivals); the inner machinery touches the hot set, except
+  // that a share change (B_on level change or GLOBAL RESET) refills it for
+  // the local-stage start, exactly where every session's value changes
+  // anyway (differentially tested against the full sweep).
   void StepSparse(Time now,
                   std::span<const SessionArrival> arrivals) override;
   void PerturbEventWakeupsForTest() override { perturb_wakeups_ = 1; }
+  void FullSweepForTest() override {
+    hot_.PinAll();
+    channels_.EnableFullSweepForTest();
+  }
   const SessionChannels& channels() const override { return channels_; }
 
   // Completed local stages (offline per-session-change lower bound).
@@ -101,7 +101,7 @@ class CombinedOnline final : public MultiSessionSystem {
 
   // --- dynamic churn --------------------------------------------------------
   // Inactive sessions are skipped by every local-stage, phase-boundary, and
-  // GLOBAL RESET loop (dense and sparse alike), and Quiescent() reports
+  // GLOBAL RESET loop, and Quiescent() reports
   // them quiescent so the hot set sheds them. A joining session starts at
   // the *current* share_ with empty queues — the quiescent fixed point —
   // and departure cancels any outstanding continuous-inner REDUCE leases.
@@ -128,21 +128,11 @@ class CombinedOnline final : public MultiSessionSystem {
     w.I64(peak_global_queue_);
     w.I64(completed_local_stages_);
     w.I64(completed_global_stages_);
-    w.U64(reductions_.size());
-    for (const auto& [due, list] : reductions_) {
-      w.I64(due);
-      w.U64(list.size());
-      for (const Reduction& red : list) {
-        w.I64(red.session);
-        w.I64(red.amount.raw());
-      }
-    }
     reduce_wheel_.SaveState(w, [](StateWriter& sw, const Reduction& red) {
       sw.I64(red.session);
       sw.I64(red.amount.raw());
     });
     hot_.SaveState(w);
-    w.U8(static_cast<std::uint8_t>(mode_));
     for (const char a : active_) w.Bool(a != 0);
   }
 
@@ -162,42 +152,22 @@ class CombinedOnline final : public MultiSessionSystem {
     peak_global_queue_ = r.I64();
     completed_local_stages_ = r.I64();
     completed_global_stages_ = r.I64();
-    reductions_.clear();
-    const std::uint64_t n_slots = r.Count(std::uint64_t{1} << 32);
-    for (std::uint64_t s = 0; s < n_slots; ++s) {
-      const Time due = r.I64();
-      auto& list = reductions_[due];
-      list.resize(r.Count(std::uint64_t{1} << 32));
-      for (Reduction& red : list) {
-        red.session = r.I64();
-        red.amount = Bandwidth::FromRaw(r.I64());
-      }
-    }
     reduce_wheel_.LoadState(r, [](StateReader& sr, Reduction& red) {
       red.session = sr.I64();
       red.amount = Bandwidth::FromRaw(sr.I64());
     });
     hot_.LoadState(r);
-    mode_ = static_cast<StepMode>(r.U8());
     for (char& a : active_) a = r.Bool() ? 1 : 0;
   }
 
  private:
-  enum class StepMode { kNone, kDense, kSparse };
-
   void StartGlobalStage(Time ts);
   void StartLocalStage(Time now, bool shunt_regular);
   void PhaseBoundary(Time now);
   void ContinuousTest(Time now, std::int64_t i);
   void ShuntWithLease(Time now, std::int64_t i);
-  void ApplyReductions(Time now);
   bool RegularOverloaded(std::int64_t i) const;
   void GlobalReset(Time now);
-  void StartLocalStageEvent(Time now, bool shunt_regular);
-  void PhaseBoundaryEvent(Time now);
-  void ContinuousTestEvent(Time now, std::int64_t i);
-  void ShuntWithLeaseEvent(Time now, std::int64_t i);
-  void GlobalResetEvent(Time now);
   bool Quiescent(std::int64_t i) const;
 
   bool Active(std::int64_t i) const {
@@ -229,14 +199,10 @@ class CombinedOnline final : public MultiSessionSystem {
     std::int64_t session;
     Bandwidth amount;
   };
-  // Dense path keeps the original map-of-slots; the sparse path schedules
-  // the same reductions on a timer wheel (one wakeup per lease).
-  std::map<Time, std::vector<Reduction>> reductions_;
-  TimerWheel<Reduction> reduce_wheel_;
-  HotSet hot_;                 // sparse path: candidate non-quiescent sessions
+  TimerWheel<Reduction> reduce_wheel_;  // one wakeup per lease
+  HotSet hot_;                 // candidate non-quiescent sessions
   std::vector<char> active_;   // churn mask; all 1 for fixed populations
   Time perturb_wakeups_ = 0;   // test hook: delays boundaries / REDUCEs
-  StepMode mode_ = StepMode::kNone;  // dense/sparse must never mix
 };
 
 }  // namespace bwalloc

@@ -27,68 +27,6 @@ bool ContinuousMulti::RegularOverloaded(std::int64_t i) const {
   return lhs > rhs;
 }
 
-void ContinuousMulti::Reset(Time now) {
-  tracer_.Emit(TraceEventType::kStageStart, now, -1, completed_stages_);
-  for (std::int64_t i = 0; i < params_.sessions; ++i) {
-    if (!Active(i)) continue;
-    channels_.SetRegular(i, shares_[static_cast<std::size_t>(i)]);
-  }
-}
-
-void ContinuousMulti::ShuntToOverflow(Time now, std::int64_t i) {
-  const Bits q = channels_.regular_queue_size(i);
-  if (q == 0) return;
-  tracer_.Emit(TraceEventType::kOverflowShunt, now, i, q);
-  channels_.MoveRegularToOverflow(i);
-  const Bandwidth lease = Bandwidth::CeilDiv(q, params_.offline_delay);
-  channels_.AddOverflow(i, lease);
-  reductions_[now + params_.offline_delay].push_back({i, lease});
-}
-
-void ContinuousMulti::Test(Time now, std::int64_t i) {
-  if (!RegularOverloaded(i)) return;
-  channels_.SetRegular(i, channels_.regular_bw(i) +
-                           shares_[static_cast<std::size_t>(i)]);
-  ShuntToOverflow(now, i);
-  if (channels_.TotalRegular() > two_b_o_) {
-    // Stage end: shunt every regular queue and RESET.
-    for (std::int64_t j = 0; j < params_.sessions; ++j) {
-      ShuntToOverflow(now, j);
-    }
-    tracer_.Emit(TraceEventType::kStageCertified, now, -1, completed_stages_);
-    ++completed_stages_;
-    Reset(now);
-  }
-}
-
-void ContinuousMulti::ApplyReductions(Time now) {
-  const auto it = reductions_.find(now);
-  if (it == reductions_.end()) return;
-  for (const Reduction& r : it->second) {
-    channels_.AddOverflow(r.session, Bandwidth::Zero() - r.amount);
-  }
-  reductions_.erase(it);
-}
-
-void ContinuousMulti::Step(Time now, std::span<const Bits> arrivals) {
-  BW_REQUIRE(static_cast<std::int64_t>(arrivals.size()) == params_.sessions,
-             "ContinuousMulti::Step: arrival vector size mismatch");
-  BW_CHECK(mode_ != StepMode::kSparse,
-           "ContinuousMulti: dense Step after sparse stepping");
-  mode_ = StepMode::kDense;
-  if (!started_) {
-    started_ = true;
-    Reset(now);
-  }
-  ApplyReductions(now);
-  for (std::int64_t i = 0; i < params_.sessions; ++i) {
-    const Bits in = arrivals[static_cast<std::size_t>(i)];
-    channels_.Enqueue(i, now, in);
-    if (in > 0) Test(now, i);
-  }
-  channels_.ServeSlot(now);
-}
-
 void ContinuousMulti::OnSessionJoin(Time /*now*/, std::int64_t session) {
   active_[static_cast<std::size_t>(session)] = 1;
   // Mid-run join: hand the session its share directly, as the stage's
@@ -103,28 +41,19 @@ Bits ContinuousMulti::OnSessionDepart(Time /*now*/, std::int64_t session) {
   channels_.SetRegular(session, Bandwidth::Zero());
   channels_.SetOverflow(session, Bandwidth::Zero());
   // Outstanding REDUCE leases must never fire for a departed session —
-  // the overflow allocation they would return was just zeroed. Both lease
-  // stores are swept; only the one matching the step mode is non-empty.
-  for (auto it = reductions_.begin(); it != reductions_.end();) {
-    std::erase_if(it->second, [session](const Reduction& red) {
-      return red.session == session;
-    });
-    it = it->second.empty() ? reductions_.erase(it) : std::next(it);
-  }
+  // the overflow allocation they would return was just zeroed.
   reduce_wheel_.CancelWhere(
       [session](const Reduction& red) { return red.session == session; });
   return channels_.DropSession(session);
 }
 
-// --- event-driven path -------------------------------------------------------
-//
 // Fig. 5 is already event-shaped: TEST fires only on arrivals, REDUCE is a
-// per-session timer. The sparse path schedules each lease on the timer
-// wheel instead of the slot map, and the two O(k) loops — stage-end shunts
-// and RESET — run over the sorted hot set only. A session outside the hot
-// set has empty queues (ShuntToOverflow would early-return), zero overflow
-// allocation, and regular allocation equal to its share (RESET would
-// rewrite an identical value), so skipping it changes nothing.
+// per-session timer on the wheel. The two O(k) loops of the figure —
+// stage-end shunts and RESET — run over the sorted hot set only. A session
+// outside the hot set has empty queues (ShuntToOverflow would early-
+// return), zero overflow allocation, and regular allocation equal to its
+// share (RESET would rewrite an identical value), so skipping it changes
+// nothing.
 
 bool ContinuousMulti::Quiescent(std::int64_t i) const {
   if (!Active(i)) return true;
@@ -135,7 +64,7 @@ bool ContinuousMulti::Quiescent(std::int64_t i) const {
              shares_[static_cast<std::size_t>(i)].raw();
 }
 
-void ContinuousMulti::ResetEvent(Time now) {
+void ContinuousMulti::Reset(Time now) {
   tracer_.Emit(TraceEventType::kStageStart, now, -1, completed_stages_);
   for (const std::int64_t i : hot_.items()) {
     if (!Active(i)) continue;
@@ -143,7 +72,7 @@ void ContinuousMulti::ResetEvent(Time now) {
   }
 }
 
-void ContinuousMulti::ShuntToOverflowEvent(Time now, std::int64_t i) {
+void ContinuousMulti::ShuntToOverflow(Time now, std::int64_t i) {
   const Bits q = channels_.regular_queue_size(i);
   if (q == 0) return;
   tracer_.Emit(TraceEventType::kOverflowShunt, now, i, q);
@@ -154,33 +83,30 @@ void ContinuousMulti::ShuntToOverflowEvent(Time now, std::int64_t i) {
                            {i, lease});
 }
 
-void ContinuousMulti::TestEvent(Time now, std::int64_t i) {
+void ContinuousMulti::Test(Time now, std::int64_t i) {
   if (!RegularOverloaded(i)) return;
   channels_.SetRegular(i, channels_.regular_bw(i) +
                            shares_[static_cast<std::size_t>(i)]);
-  ShuntToOverflowEvent(now, i);
+  ShuntToOverflow(now, i);
   if (channels_.TotalRegular() > two_b_o_) {
     // Stage end: shunt every nonempty regular queue (all in the hot set)
-    // in ascending session order, exactly like the naive 0..k-1 loop.
+    // in ascending session order, then RESET.
     hot_.SortAscending();
     for (const std::int64_t j : hot_.items()) {
-      ShuntToOverflowEvent(now, j);
+      ShuntToOverflow(now, j);
     }
     tracer_.Emit(TraceEventType::kStageCertified, now, -1, completed_stages_);
     ++completed_stages_;
-    ResetEvent(now);
+    Reset(now);
     hot_.FilterInPlace([&](std::int64_t s) { return !Quiescent(s); });
   }
 }
 
 void ContinuousMulti::StepSparse(Time now,
                                  std::span<const SessionArrival> arrivals) {
-  BW_CHECK(mode_ != StepMode::kDense,
-           "ContinuousMulti: sparse Step after dense stepping");
-  mode_ = StepMode::kSparse;
   if (!started_) {
     started_ = true;
-    Reset(now);  // first RESET touches all k, like the naive path
+    Reset(now);  // the hot set still holds every session
   }
   reduce_wheel_.PopDue(now, [&](const Reduction& r) {
     channels_.AddOverflow(r.session, Bandwidth::Zero() - r.amount);
@@ -189,7 +115,7 @@ void ContinuousMulti::StepSparse(Time now,
     channels_.Enqueue(a.session, now, a.bits);
     if (a.bits > 0) {
       hot_.Add(a.session);
-      TestEvent(now, a.session);
+      Test(now, a.session);
     }
   }
   channels_.ServeActiveSlot(now);

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/params.h"
@@ -34,15 +33,16 @@ class ContinuousMulti final : public MultiSessionSystem {
       const MultiSessionParams& params,
       ServiceDiscipline discipline = ServiceDiscipline::kTwoChannel);
 
-  void Step(Time now, std::span<const Bits> arrivals) override;
-  // Event-driven path: arrivals drive the Fig. 5 TESTs directly (already
-  // per-session events), REDUCE timers live in a timer wheel, and stage
-  // ends iterate only the hot set. Behaviorally identical to Step
-  // (differentially tested).
-  bool SupportsSparseStep() const override { return true; }
+  // Arrivals drive the Fig. 5 TESTs directly (already per-session
+  // events), REDUCE timers live in a timer wheel, and stage ends iterate
+  // only the hot set (differentially tested against the full sweep).
   void StepSparse(Time now,
                   std::span<const SessionArrival> arrivals) override;
   void PerturbEventWakeupsForTest() override { perturb_wakeups_ = 1; }
+  void FullSweepForTest() override {
+    hot_.PinAll();
+    channels_.EnableFullSweepForTest();
+  }
   const SessionChannels& channels() const override { return channels_; }
   std::int64_t stages() const override { return completed_stages_; }
   Bandwidth DeclaredTotalBandwidth() const override {
@@ -71,21 +71,11 @@ class ContinuousMulti final : public MultiSessionSystem {
     channels_.SaveState(w);
     w.I64(completed_stages_);
     w.Bool(started_);
-    w.U64(reductions_.size());
-    for (const auto& [due, list] : reductions_) {
-      w.I64(due);
-      w.U64(list.size());
-      for (const Reduction& red : list) {
-        w.I64(red.session);
-        w.I64(red.amount.raw());
-      }
-    }
     reduce_wheel_.SaveState(w, [](StateWriter& sw, const Reduction& red) {
       sw.I64(red.session);
       sw.I64(red.amount.raw());
     });
     hot_.SaveState(w);
-    w.U8(static_cast<std::uint8_t>(mode_));
     for (const char a : active_) w.Bool(a != 0);
   }
 
@@ -94,36 +84,18 @@ class ContinuousMulti final : public MultiSessionSystem {
     channels_.LoadState(r);
     completed_stages_ = r.I64();
     started_ = r.Bool();
-    reductions_.clear();
-    const std::uint64_t n_slots = r.Count(std::uint64_t{1} << 32);
-    for (std::uint64_t s = 0; s < n_slots; ++s) {
-      const Time due = r.I64();
-      auto& list = reductions_[due];
-      list.resize(r.Count(std::uint64_t{1} << 32));
-      for (Reduction& red : list) {
-        red.session = r.I64();
-        red.amount = Bandwidth::FromRaw(r.I64());
-      }
-    }
     reduce_wheel_.LoadState(r, [](StateReader& sr, Reduction& red) {
       red.session = sr.I64();
       red.amount = Bandwidth::FromRaw(sr.I64());
     });
     hot_.LoadState(r);
-    mode_ = static_cast<StepMode>(r.U8());
     for (char& a : active_) a = r.Bool() ? 1 : 0;
   }
 
  private:
-  enum class StepMode { kNone, kDense, kSparse };
-
   void Reset(Time now);
   void Test(Time now, std::int64_t i);
   void ShuntToOverflow(Time now, std::int64_t i);
-  void ApplyReductions(Time now);
-  void ResetEvent(Time now);
-  void TestEvent(Time now, std::int64_t i);
-  void ShuntToOverflowEvent(Time now, std::int64_t i);
   bool Quiescent(std::int64_t i) const;
   bool RegularOverloaded(std::int64_t i) const;
 
@@ -143,14 +115,10 @@ class ContinuousMulti final : public MultiSessionSystem {
     std::int64_t session;
     Bandwidth amount;
   };
-  // Dense path keeps the original map-of-slots; the sparse path schedules
-  // the same reductions on a timer wheel (one wakeup per lease).
-  std::map<Time, std::vector<Reduction>> reductions_;
-  TimerWheel<Reduction> reduce_wheel_;
-  HotSet hot_;                 // sparse path: candidate non-quiescent sessions
+  TimerWheel<Reduction> reduce_wheel_;  // one wakeup per lease
+  HotSet hot_;                 // candidate non-quiescent sessions
   std::vector<char> active_;   // churn mask; all 1 for fixed populations
   Time perturb_wakeups_ = 0;   // test hook: delays REDUCE wakeups
-  StepMode mode_ = StepMode::kNone;  // dense/sparse must never mix
 };
 
 }  // namespace bwalloc

@@ -35,15 +35,17 @@ class PhasedMulti final : public MultiSessionSystem {
       const MultiSessionParams& params,
       ServiceDiscipline discipline = ServiceDiscipline::kTwoChannel);
 
-  void Step(Time now, std::span<const Bits> arrivals) override;
-  // Event-driven path: only sessions in the hot set (arrivals since the
-  // last quiescence check, or carrying boosted/overflow allocation) are
-  // touched at phase boundaries; all others are provably no-ops for every
-  // Fig. 4 action. Behaviorally identical to Step (differentially tested).
-  bool SupportsSparseStep() const override { return true; }
+  // Only sessions in the hot set (arrivals since the last quiescence
+  // check, or carrying boosted/overflow allocation) are touched at phase
+  // boundaries; all others are provably no-ops for every Fig. 4 action
+  // (differentially tested against the full sweep).
   void StepSparse(Time now,
                   std::span<const SessionArrival> arrivals) override;
   void PerturbEventWakeupsForTest() override { perturb_wakeups_ = 1; }
+  void FullSweepForTest() override {
+    hot_.PinAll();
+    channels_.EnableFullSweepForTest();
+  }
   const SessionChannels& channels() const override { return channels_; }
   std::int64_t stages() const override { return completed_stages_; }
   Bandwidth DeclaredTotalBandwidth() const override {
@@ -55,8 +57,8 @@ class PhasedMulti final : public MultiSessionSystem {
   // Inactive sessions are invisible to every Fig. 4 action: RESET and the
   // phase boundary skip them, and Quiescent() reports them quiescent so
   // the hot set sheds them. A joining session starts at its share with
-  // empty queues — exactly the quiescent fixed point — so dense and sparse
-  // paths stay event-for-event identical under churn.
+  // empty queues — exactly the quiescent fixed point — so pruned and
+  // full-sweep runs stay event-for-event identical under churn.
   bool SupportsChurn() const override { return true; }
   void OnSessionJoin(Time now, std::int64_t session) override;
   Bits OnSessionDepart(Time now, std::int64_t session) override;
@@ -71,7 +73,6 @@ class PhasedMulti final : public MultiSessionSystem {
     w.I64(completed_stages_);
     w.Bool(started_);
     hot_.SaveState(w);
-    w.U8(static_cast<std::uint8_t>(mode_));
     for (const char a : active_) w.Bool(a != 0);
   }
 
@@ -82,17 +83,12 @@ class PhasedMulti final : public MultiSessionSystem {
     completed_stages_ = r.I64();
     started_ = r.Bool();
     hot_.LoadState(r);
-    mode_ = static_cast<StepMode>(r.U8());
     for (char& a : active_) a = r.Bool() ? 1 : 0;
   }
 
  private:
-  enum class StepMode { kNone, kDense, kSparse };
-
   void Reset(Time now);
   void PhaseBoundary(Time now);
-  void ResetEvent(Time now);
-  void PhaseBoundaryEvent(Time now);
 
   // True when session i can be skipped by every phase-boundary action:
   // empty queues, no overflow allocation, regular allocation at its share
@@ -114,10 +110,9 @@ class PhasedMulti final : public MultiSessionSystem {
   std::int64_t completed_stages_ = 0;
   bool started_ = false;
   Tracer tracer_;          // disabled unless SetTracer was called
-  HotSet hot_;             // sparse path: candidate non-quiescent sessions
+  HotSet hot_;             // candidate non-quiescent sessions
   std::vector<char> active_;   // churn mask; all 1 for fixed populations
   Time perturb_wakeups_ = 0;   // test hook: delays phase boundaries
-  StepMode mode_ = StepMode::kNone;  // dense/sparse must never mix
 };
 
 }  // namespace bwalloc

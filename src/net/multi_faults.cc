@@ -39,17 +39,15 @@ RobustMultiSessionAdapter::RobustMultiSessionAdapter(
   }
 }
 
-void RobustMultiSessionAdapter::Step(Time now,
-                                     std::span<const Bits> arrivals) {
-  BW_CHECK(static_cast<std::int64_t>(arrivals.size()) == sessions_,
-           "RobustMultiSessionAdapter: arrivals size != sessions");
+void RobustMultiSessionAdapter::StepSparse(
+    Time now, std::span<const SessionArrival> arrivals) {
   // The control model always advances, fault-free: its per-session rates
   // are the intents the lanes try to commit, and its state machine must
   // keep tracking the actual traffic even while signalling is down.
-  inner_->Step(now, arrivals);
+  inner_->StepSparse(now, arrivals);
 
-  for (std::int64_t i = 0; i < sessions_; ++i) {
-    channels_.Enqueue(i, now, arrivals[static_cast<std::size_t>(i)]);
+  for (const SessionArrival& a : arrivals) {
+    channels_.Enqueue(a.session, now, a.bits);
   }
 
   // The combined algorithm serves part of the load on a global channel the
@@ -69,7 +67,7 @@ void RobustMultiSessionAdapter::Step(Time now,
     StepLane(now, i, intended);
   }
 
-  channels_.ServeSlot(now);
+  channels_.ServeActiveSlot(now);
 
   for (std::int64_t i = 0; i < sessions_; ++i) {
     Lane& lane = lanes_[static_cast<std::size_t>(i)];

@@ -76,7 +76,14 @@ class RobustMultiSessionAdapter final : public MultiSessionSystem {
                             const NetworkPath& path, const FaultPlan& plan,
                             const RobustMultiOptions& options);
 
-  void Step(Time now, std::span<const Bits> arrivals) override;
+  // The control model and the real data plane step sparsely; every active
+  // lane still runs its retry state machine each slot.
+  void StepSparse(Time now,
+                  std::span<const SessionArrival> arrivals) override;
+  void FullSweepForTest() override {
+    inner_->FullSweepForTest();
+    channels_.EnableFullSweepForTest();
+  }
 
   // The adapter's channels are the real data plane; the inner system's
   // channels only model what the algorithm believes it has committed.

@@ -260,14 +260,7 @@ CellOutcome RunMultiCell(const SuiteSpec& spec, const TaskContext& ctx) {
     // Degraded lanes can hold a backlog for many retry rounds.
     opt.drain_slots = 8 * spec.d_o + 64 * spec.fault_hops;
   }
-  MultiRunResult r;
-  if (spec.engine == "event") {
-    r = RunMultiSessionEvent(SparseMultiTrace::FromDense(traces), *sys, opt);
-  } else if (spec.engine == "naive") {
-    r = RunMultiSession(traces, *sys, opt);
-  } else {
-    throw std::invalid_argument("unknown suite engine: " + spec.engine);
-  }
+  MultiRunResult r = RunMultiSessionEvent(traces, *sys, opt);
   if (robust != nullptr) {
     r.faults = robust->fault_stats();
     r.per_session_faults = robust->per_session_fault_stats();
@@ -387,7 +380,6 @@ std::string FormatReport(const SuiteSpec& spec, const SuiteReport& report,
   } else {
     out << "multi-session algo=" << spec.multi_algo
         << " B_O=" << spec.per_session_bo << "*k D_O=" << spec.d_o;
-    if (spec.engine != "naive") out << " engine=" << spec.engine;
     if (spec.fault_hops > 0) {
       out << " faults[hops=" << spec.fault_hops << " loss="
           << Table::Num(spec.fault_loss, 3) << " denial="

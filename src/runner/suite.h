@@ -56,12 +56,6 @@ struct SuiteSpec {
   std::string multi_algo = "phased";  // phased | continuous
   Bits per_session_bo = 16;           // B_O = per_session_bo * k
   Time d_o = 8;
-  // "naive" steps every session every slot; "event" runs the event-driven
-  // engine on the sparse view of the same traces. Byte-identical by
-  // contract (tests/engine_equivalence_test.cc), so reports, traces, and
-  // audits match across engines at every --jobs value.
-  std::string engine = "naive";  // naive | event
-
   // Structured event tracing. Each cell records into its own buffer;
   // RunSuite concatenates the buffers in cell-index order, so the NDJSON
   // stream is byte-identical at every --jobs value.

@@ -7,10 +7,11 @@
 // offered traffic is a dense rate over [start, depart). What is *dynamic*
 // is the admission decision (made at the arrival slot, possibly booking a
 // start `book_delay` slots ahead) and the session lifecycle the driver
-// executes at slot granularity — join, depart, overload shed. The driver
-// is shared verbatim by the naive and event engines, so churn events and
-// lifecycle transitions land at identical points in both traces and the
-// byte-identity gate extends to churned runs unchanged.
+// executes at slot granularity — join, depart, overload shed. The engine
+// runs the driver at the same point of every slot whether or not the
+// system prunes, so churn events and lifecycle transitions land at
+// identical points in pruned and full-sweep traces and the byte-identity
+// gate extends to churned runs unchanged.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,38 @@
-#include "sim/engine_multi.h"
-
+// Multi-session engine.
+//
+// The per-slot cost is proportional to the number of sessions *touched*
+// that slot, not to k. Three observations make that exact rather than
+// approximate — each slot produces the trace bytes and result a scan over
+// all k sessions would:
+//
+//   1. Allocation-change events and local-change counts depend only on
+//      end-of-slot values per (session, channel). SessionChannels records
+//      which sessions' bandwidth variables changed value during the slot
+//      (the alloc-dirty list); comparing just those against a shadow copy
+//      of last slot's values reproduces the per-session scan verbatim,
+//      because an untouched session cannot have transitioned. The dirty
+//      list is emitted in ascending session order (sorted before the
+//      scan), matching a 0..k-1 iteration byte for byte.
+//
+//   2. Every aggregate the engine reads per slot (total regular/overflow
+//      allocation, total queued bits, delivered bits) is an exact integer
+//      sum maintained incrementally inside SessionChannels; integer sums
+//      are order-independent, so the incremental values equal a recount.
+//
+//   3. Serving an empty session is a no-op in both disciplines (no bits
+//      delivered, no credit banked), so the system's ServeActiveSlot —
+//      which skips empty sessions — delivers exactly what a full scan does.
+//
+// The full-sweep test hook (MultiSessionSystem::FullSweepForTest) turns the
+// pruning off: every session is dirty and served every slot. The engine
+// then also re-checks observation 2 and bit conservation every slot.
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "obs/telemetry/hub.h"
 #include "sim/churn.h"
+#include "sim/engine_multi.h"
 #include "sim/metrics.h"
 #include "util/assert.h"
 
@@ -11,73 +40,151 @@ namespace bwalloc {
 
 namespace {
 
-void SaveNaiveEngineState(StateWriter& w, const UtilizationMeter& util,
+void SaveEngineState(StateWriter& w, const UtilizationMeter& util,
                           const ChangeCounter& declared_total,
-                          const std::vector<ChangeCounter>& regular_counters,
-                          const std::vector<ChangeCounter>& overflow_counters,
-                          Bits queue_hwm, const MultiRunResult& result) {
+                          const std::vector<std::int64_t>& shadow_regular_raw,
+                          const std::vector<std::int64_t>& shadow_overflow_raw,
+                          Bits queue_hwm, const MultiRunResult& result,
+                          const EventEngineStats& stats) {
   w.Tag("ENG1");
   util.SaveState(w);
   declared_total.SaveState(w);
-  w.U64(regular_counters.size());
-  for (std::size_t i = 0; i < regular_counters.size(); ++i) {
-    regular_counters[i].SaveState(w);
-    overflow_counters[i].SaveState(w);
+  w.U64(shadow_regular_raw.size());
+  for (std::size_t i = 0; i < shadow_regular_raw.size(); ++i) {
+    w.I64(shadow_regular_raw[i]);
+    w.I64(shadow_overflow_raw[i]);
   }
   w.I64(queue_hwm);
   w.I64(result.peak_total_allocation.raw());
   w.I64(result.peak_regular_allocation.raw());
   w.I64(result.peak_overflow_allocation.raw());
+  w.I64(result.local_changes);
+  w.I64(stats.touched_session_slots);
+  w.I64(stats.arrival_events);
 }
 
-void LoadNaiveEngineState(StateReader& r, UtilizationMeter& util,
+void LoadEngineState(StateReader& r, UtilizationMeter& util,
                           ChangeCounter& declared_total,
-                          std::vector<ChangeCounter>& regular_counters,
-                          std::vector<ChangeCounter>& overflow_counters,
-                          Bits& queue_hwm, MultiRunResult& result) {
+                          std::vector<std::int64_t>& shadow_regular_raw,
+                          std::vector<std::int64_t>& shadow_overflow_raw,
+                          Bits& queue_hwm, MultiRunResult& result,
+                          EventEngineStats& stats) {
   r.Tag("ENG1");
   util.LoadState(r);
   declared_total.LoadState(r);
   const std::uint64_t n = r.U64();
-  if (n != regular_counters.size()) {
+  if (n != shadow_regular_raw.size()) {
     throw StateFormatError("session count mismatch in engine checkpoint");
   }
-  for (std::size_t i = 0; i < regular_counters.size(); ++i) {
-    regular_counters[i].LoadState(r);
-    overflow_counters[i].LoadState(r);
+  for (std::size_t i = 0; i < shadow_regular_raw.size(); ++i) {
+    shadow_regular_raw[i] = r.I64();
+    shadow_overflow_raw[i] = r.I64();
   }
   queue_hwm = r.I64();
   result.peak_total_allocation = Bandwidth::FromRaw(r.I64());
   result.peak_regular_allocation = Bandwidth::FromRaw(r.I64());
   result.peak_overflow_allocation = Bandwidth::FromRaw(r.I64());
+  result.local_changes = r.I64();
+  stats.touched_session_slots = r.I64();
+  stats.arrival_events = r.I64();
+}
+
+// Full-sweep mode only: the incremental aggregates against a recount over
+// all sessions, and arrivals = delivered + queued + dropped (the combined
+// algorithm's global channel holds the rest).
+void CheckSlotInvariants(const SessionChannels& ch,
+                         const MultiSessionSystem& system) {
+  ch.CheckTotalsAgainstRecount();
+  BW_CHECK(ch.total_arrivals() == ch.total_delivered() + ch.TotalQueued() +
+                                      ch.total_dropped() +
+                                      system.ExtraDeliveredBits() +
+                                      system.ExtraQueuedBits(),
+           "bit conservation violated: arrivals != delivered + queued + "
+           "dropped");
 }
 
 }  // namespace
 
-MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
-                               MultiSessionSystem& system,
-                               const MultiEngineOptions& options) {
-  BW_REQUIRE(!traces.empty(), "RunMultiSession: need at least one trace");
-  const std::size_t k = traces.size();
-  const Time trace_len = static_cast<Time>(traces.front().size());
-  for (const auto& tr : traces) {
-    BW_REQUIRE(static_cast<Time>(tr.size()) == trace_len,
-               "RunMultiSession: traces must have equal length");
+void MultiSessionSystem::Step(Time now, std::span<const Bits> arrivals) {
+  BW_REQUIRE(static_cast<std::int64_t>(arrivals.size()) ==
+                 channels().sessions(),
+             "MultiSessionSystem::Step: arrival vector size mismatch");
+  dense_step_arrivals_.clear();
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    BW_REQUIRE(arrivals[i] >= 0, "MultiSessionSystem::Step: negative bits");
+    if (arrivals[i] > 0) {
+      dense_step_arrivals_.push_back({static_cast<std::int64_t>(i),
+                                      arrivals[i]});
+    }
   }
-  BW_REQUIRE(static_cast<std::int64_t>(k) == system.channels().sessions(),
-             "RunMultiSession: trace count != session count");
+  StepSparse(now, dense_step_arrivals_);
+}
+
+SparseMultiTrace SparseMultiTrace::FromDense(
+    const std::vector<std::vector<Bits>>& traces) {
+  BW_REQUIRE(!traces.empty(), "SparseMultiTrace: need at least one trace");
+  SparseMultiTrace out;
+  out.sessions = static_cast<std::int64_t>(traces.size());
+  out.horizon = static_cast<Time>(traces.front().size());
+  for (const auto& tr : traces) {
+    BW_REQUIRE(static_cast<Time>(tr.size()) == out.horizon,
+               "SparseMultiTrace: traces must have equal length");
+  }
+  out.slot_offsets.reserve(static_cast<std::size_t>(out.horizon) + 1);
+  out.slot_offsets.push_back(0);
+  for (Time t = 0; t < out.horizon; ++t) {
+    for (std::int64_t i = 0; i < out.sessions; ++i) {
+      const Bits bits = traces[static_cast<std::size_t>(i)]
+                              [static_cast<std::size_t>(t)];
+      BW_REQUIRE(bits >= 0, "SparseMultiTrace: negative arrivals");
+      if (bits > 0) out.arrivals.push_back({i, bits});
+    }
+    out.slot_offsets.push_back(static_cast<std::int64_t>(out.arrivals.size()));
+  }
+  return out;
+}
+
+void SparseMultiTrace::Validate() const {
+  BW_REQUIRE(sessions >= 1, "SparseMultiTrace: need at least one session");
+  BW_REQUIRE(horizon >= 0, "SparseMultiTrace: negative horizon");
+  BW_REQUIRE(static_cast<Time>(slot_offsets.size()) == horizon + 1,
+             "SparseMultiTrace: slot_offsets must have horizon + 1 entries");
+  BW_REQUIRE(slot_offsets.front() == 0 &&
+                 slot_offsets.back() ==
+                     static_cast<std::int64_t>(arrivals.size()),
+             "SparseMultiTrace: slot_offsets must span arrivals");
+  for (Time t = 0; t < horizon; ++t) {
+    const std::int64_t lo = slot_offsets[static_cast<std::size_t>(t)];
+    const std::int64_t hi = slot_offsets[static_cast<std::size_t>(t) + 1];
+    BW_REQUIRE(lo <= hi, "SparseMultiTrace: slot_offsets must be monotone");
+    std::int64_t prev_session = -1;
+    for (std::int64_t a = lo; a < hi; ++a) {
+      const SessionArrival& arr = arrivals[static_cast<std::size_t>(a)];
+      BW_REQUIRE(arr.session >= 0 && arr.session < sessions,
+                 "SparseMultiTrace: session id out of range");
+      BW_REQUIRE(arr.session > prev_session,
+                 "SparseMultiTrace: sessions must be ascending within a slot");
+      BW_REQUIRE(arr.bits >= 0, "SparseMultiTrace: negative arrivals");
+      prev_session = arr.session;
+    }
+  }
+}
+
+MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
+                                    MultiSessionSystem& system,
+                                    const MultiEngineOptions& options) {
+  sparse.Validate();
+  const std::int64_t k = sparse.sessions;
+  BW_REQUIRE(k == system.channels().sessions(),
+             "RunMultiSessionEvent: trace sessions != system sessions");
 
   MultiRunResult result;
-  result.sessions = static_cast<std::int64_t>(k);
-  const Time horizon = trace_len + options.drain_slots;
+  result.sessions = k;
+  const Time horizon = sparse.horizon + options.drain_slots;
   result.horizon = horizon;
 
   UtilizationMeter util;
   ChangeCounter declared_total;
-  // One counter per (session, channel) variable; Lemma 12's "3k changes per
-  // stage" counts exactly these transitions.
-  std::vector<ChangeCounter> regular_counters(k);
-  std::vector<ChangeCounter> overflow_counters(k);
 
   const Tracer& tracer = options.tracer;
   const bool tracing = tracer.active();
@@ -85,21 +192,36 @@ MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
   telemetry::RuntimeShard* const tele = options.telemetry;
   if (tele != nullptr) {
     system.SetTelemetry(tele);
-    tele->GaugeSet(telemetry::Gauge::kActiveSessions,
-                   static_cast<std::int64_t>(k));
+    tele->GaugeSet(telemetry::Gauge::kActiveSessions, k);
   }
   Bits queue_hwm = 0;
+
+  EventEngineStats stats;
+  const SessionChannels& ch = system.channels();
+  const bool full_sweep = ch.full_sweep();
+  ch.EnableAllocDirtyTracking();
+
+  // Shadow copy of last slot's end-of-slot allocation values, one per
+  // (session, channel) variable; Lemma 12's "3k changes per stage" counts
+  // exactly their transitions. Initialized from the state after slot 0,
+  // which counts no transition.
+  std::vector<std::int64_t> shadow_regular_raw(static_cast<std::size_t>(k), 0);
+  std::vector<std::int64_t> shadow_overflow_raw(static_cast<std::size_t>(k),
+                                                0);
+
+  std::vector<std::int64_t> dirty;
 
   ChurnDriver* const churn = options.churn;
   if (churn != nullptr) {
     BW_REQUIRE(system.SupportsChurn(),
-               "RunMultiSession: system does not support session churn");
+               "RunMultiSessionEvent: system does not support session churn");
   }
+  std::vector<SessionArrival> masked;  // churn-filtered slot, reused
 
   const CheckpointOptions& ckpt = options.checkpoint;
   if (ckpt.enabled()) {
     BW_REQUIRE(system.SupportsCheckpoint(),
-               "RunMultiSession: system does not support checkpointing");
+               "RunMultiSessionEvent: system does not support checkpointing");
   }
   Time start = 0;
   if (ckpt.resume != nullptr) {
@@ -108,14 +230,18 @@ MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
       StateReader r(payload);
       CheckpointMeta meta;
       meta.Load(r);
-      if (meta.kind != "multi") {
-        throw CheckpointError("checkpoint resume blob: kind is '" + meta.kind +
-                              "', this engine resumes 'multi' checkpoints");
+      if (meta.kind != kMultiCheckpointKind) {
+        throw CheckpointError(
+            "checkpoint resume blob: kind is '" + meta.kind +
+            "', this engine resumes 'multi-event' checkpoints");
       }
-      BW_REQUIRE(meta.next_slot >= 0 && meta.next_slot <= horizon,
-                 "RunMultiSession: checkpoint resume slot outside horizon");
-      LoadNaiveEngineState(r, util, declared_total, regular_counters,
-                           overflow_counters, queue_hwm, result);
+      // Checkpoints land after a finished slot, so next_slot >= 1 and the
+      // resumed loop never re-enters the t == 0 shadow initialization.
+      BW_REQUIRE(meta.next_slot >= 1 && meta.next_slot <= horizon,
+                 "RunMultiSessionEvent: checkpoint resume slot outside "
+                 "horizon");
+      LoadEngineState(r, util, declared_total, shadow_regular_raw,
+                           shadow_overflow_raw, queue_hwm, result, stats);
       r.Tag("SYS1");
       system.LoadState(r);
       r.Tag("CHN1");
@@ -130,58 +256,79 @@ MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
       throw CheckpointError(std::string("checkpoint resume blob: ") +
                             e.what());
     }
-    if (ckpt.perturb_restore_for_test) {
-      regular_counters[0].PerturbCurrentForTest();
-    }
+    if (ckpt.perturb_restore_for_test) shadow_regular_raw[0] += 1;
   } else if (churn != nullptr) {
     churn->Prepare(system);
   }
 
-  std::vector<Bits> arrivals(k, 0);
   {
     ScopedTimer loop_timer(options.profile, "engine_multi.loop");
     for (Time t = start; t < horizon; ++t) {
       const bool step_sampled = tele != nullptr && (t & 63) == 0;
       const std::int64_t step_t0 =
           step_sampled ? telemetry::MonotonicNowNs() : 0;
+      const std::int64_t touched_before = stats.touched_session_slots;
+      const std::int64_t changes_before = result.local_changes;
       if (churn != nullptr) churn->BeginSlot(t, system, tracer, tele);
-      Bits slot_in = 0;
-      for (std::size_t i = 0; i < k; ++i) {
-        arrivals[i] =
-            t < trace_len ? traces[i][static_cast<std::size_t>(t)] : Bits{0};
-        BW_REQUIRE(arrivals[i] >= 0, "RunMultiSession: negative arrivals");
+      std::span<const SessionArrival> slot =
+          t < sparse.horizon ? sparse.Slot(t)
+                             : std::span<const SessionArrival>();
+      if (churn != nullptr) {
         // Offered traffic of sessions that are not currently admitted and
         // started (rejected, shed, booked-ahead, departed) never enters.
-        if (churn != nullptr && !churn->active(static_cast<std::int64_t>(i))) {
-          arrivals[i] = 0;
+        masked.clear();
+        for (const SessionArrival& a : slot) {
+          if (churn->active(a.session)) masked.push_back(a);
         }
-        slot_in += arrivals[i];
+        slot = masked;
+      }
+      Bits slot_in = 0;
+      for (const SessionArrival& a : slot) slot_in += a.bits;
+      stats.arrival_events += static_cast<std::int64_t>(slot.size());
+
+      system.StepSparse(t, slot);
+      if (full_sweep) CheckSlotInvariants(ch, system);
+
+      ch.DrainAllocDirty(&dirty);
+      if (t == 0) {
+        // First observation: initialize shadows, count no transitions.
+        for (std::int64_t i = 0; i < k; ++i) {
+          const auto idx = static_cast<std::size_t>(i);
+          shadow_regular_raw[idx] = ch.regular_bw(i).raw();
+          shadow_overflow_raw[idx] = ch.overflow_bw(i).raw();
+        }
+        stats.touched_session_slots += k;
+      } else {
+        std::sort(dirty.begin(), dirty.end());
+        stats.touched_session_slots +=
+            static_cast<std::int64_t>(dirty.size());
+        for (const std::int64_t i : dirty) {
+          const auto idx = static_cast<std::size_t>(i);
+          const std::int64_t reg = ch.regular_bw(i).raw();
+          if (reg != shadow_regular_raw[idx]) {
+            if (tracing) {
+              tracer.Emit(TraceEventType::kAllocChange, t, i,
+                          shadow_regular_raw[idx], reg, kChanRegular);
+            }
+            shadow_regular_raw[idx] = reg;
+            ++result.local_changes;
+          }
+          const std::int64_t ovf = ch.overflow_bw(i).raw();
+          if (ovf != shadow_overflow_raw[idx]) {
+            if (tracing) {
+              tracer.Emit(TraceEventType::kAllocChange, t, i,
+                          shadow_overflow_raw[idx], ovf, kChanOverflow);
+            }
+            shadow_overflow_raw[idx] = ovf;
+            ++result.local_changes;
+          }
+        }
       }
 
-      system.Step(t, arrivals);
-
-      const SessionChannels& ch = system.channels();
-      Bandwidth allocated = system.ExtraAllocatedBandwidth();
-      for (std::size_t i = 0; i < k; ++i) {
-        const auto idx = static_cast<std::int64_t>(i);
-        if (tracing) {
-          if (regular_counters[i].initialized() &&
-              ch.regular_bw(idx) != regular_counters[i].current()) {
-            tracer.Emit(TraceEventType::kAllocChange, t, idx,
-                        regular_counters[i].current().raw(),
-                        ch.regular_bw(idx).raw(), kChanRegular);
-          }
-          if (overflow_counters[i].initialized() &&
-              ch.overflow_bw(idx) != overflow_counters[i].current()) {
-            tracer.Emit(TraceEventType::kAllocChange, t, idx,
-                        overflow_counters[i].current().raw(),
-                        ch.overflow_bw(idx).raw(), kChanOverflow);
-          }
-        }
-        regular_counters[i].Observe(ch.regular_bw(idx));
-        overflow_counters[i].Observe(ch.overflow_bw(idx));
-        allocated += ch.regular_bw(idx) + ch.overflow_bw(idx);
-      }
+      const Bandwidth reg_total = ch.TotalRegular();
+      const Bandwidth ovf_total = ch.TotalOverflow();
+      const Bandwidth allocated =
+          system.ExtraAllocatedBandwidth() + reg_total + ovf_total;
       if (tracing) {
         tracer.Emit(TraceEventType::kSlotTick, t, -1, slot_in,
                     ch.TotalQueued());
@@ -203,19 +350,19 @@ MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
       if (allocated > result.peak_total_allocation) {
         result.peak_total_allocation = allocated;
       }
-      const Bandwidth reg = ch.TotalRegular();
-      const Bandwidth ovf = ch.TotalOverflow();
-      if (reg > result.peak_regular_allocation) {
-        result.peak_regular_allocation = reg;
+      if (reg_total > result.peak_regular_allocation) {
+        result.peak_regular_allocation = reg_total;
       }
-      if (ovf > result.peak_overflow_allocation) {
-        result.peak_overflow_allocation = ovf;
+      if (ovf_total > result.peak_overflow_allocation) {
+        result.peak_overflow_allocation = ovf_total;
       }
 
       if (tele != nullptr) {
         tele->Add(telemetry::Counter::kSlots);
         tele->Add(telemetry::Counter::kSessionsTouched,
-                  static_cast<std::int64_t>(k));
+                  stats.touched_session_slots - touched_before);
+        tele->Add(telemetry::Counter::kAllocChanges,
+                  result.local_changes - changes_before);
         if (step_sampled) {
           tele->Record(telemetry::Histo::kSlotStepNs,
                        telemetry::MonotonicNowNs() - step_t0);
@@ -228,7 +375,7 @@ MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
         tracer.Emit(TraceEventType::kCheckpoint, t, -1,
                     util.TotalAllocatedRaw(), t + 1);
         CheckpointMeta meta;
-        meta.kind = "multi";
+        meta.kind = kMultiCheckpointKind;
         meta.next_slot = t + 1;
         if (tracer.sink() != nullptr) {
           meta.trace_events = tracer.sink()->events_written();
@@ -237,8 +384,8 @@ MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
         meta.committed_total_raw = util.TotalAllocatedRaw();
         StateWriter w;
         meta.Save(w);
-        SaveNaiveEngineState(w, util, declared_total, regular_counters,
-                             overflow_counters, queue_hwm, result);
+        SaveEngineState(w, util, declared_total, shadow_regular_raw,
+                             shadow_overflow_raw, queue_hwm, result, stats);
         w.Tag("SYS1");
         system.SaveState(w);
         w.Tag("CHN1");
@@ -250,7 +397,6 @@ MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
     }
   }
 
-  const SessionChannels& ch = system.channels();
   result.total_arrivals = ch.total_arrivals();
   result.total_delivered = ch.total_delivered() + system.ExtraDeliveredBits();
   result.final_queue = ch.TotalQueued() + system.ExtraQueuedBits();
@@ -261,20 +407,10 @@ MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
   if (const DelayHistogram* extra = system.ExtraDelayHistogram()) {
     result.delay.Merge(*extra);
   }
-  for (std::size_t i = 0; i < k; ++i) {
-    result.local_changes += regular_counters[i].transitions() +
-                            overflow_counters[i].transitions();
-  }
   result.global_changes = declared_total.transitions();
   result.stages = system.stages();
   result.global_stages = system.global_stages();
   if (churn != nullptr) result.churn = churn->stats();
-  if (tele != nullptr) {
-    // Change counts are settled once per run (per-slot counting would put
-    // k extra compares in the hot loop for a number nobody polls mid-run).
-    tele->Add(telemetry::Counter::kAllocChanges,
-              result.local_changes + result.global_changes);
-  }
   result.global_utilization = util.GlobalUtilization();
   result.total_allocated_bits = util.TotalAllocatedBits();
   result.total_allocated_raw = util.TotalAllocatedRaw();
@@ -296,7 +432,15 @@ MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
     m.GaugeMax("engine.peak_alloc_raw", result.peak_total_allocation.raw());
     m.Histogram("engine.delay").Merge(result.delay);
   }
+  if (options.event_stats != nullptr) *options.event_stats = stats;
   return result;
+}
+
+MultiRunResult RunMultiSessionEvent(
+    const std::vector<std::vector<Bits>>& traces, MultiSessionSystem& system,
+    const MultiEngineOptions& options) {
+  return RunMultiSessionEvent(SparseMultiTrace::FromDense(traces), system,
+                              options);
 }
 
 }  // namespace bwalloc

@@ -2,7 +2,7 @@
 //
 // The multi-session algorithms own their SessionChannels (they move queue
 // contents and re-allocate), so the system interface is coarser than the
-// single-session one: the engine feeds one arrivals vector per slot and the
+// single-session one: the engine feeds each slot's sparse arrivals and the
 // system does enqueue + allocate + serve. The engine owns all scoring:
 // per-variable local change counting, declared-total (global) change
 // counting, utilization, and delay aggregation.
@@ -28,16 +28,16 @@ namespace bwalloc {
 
 class ChurnDriver;  // sim/churn.h
 
-// One nonzero (or explicitly-listed) arrival for the sparse step interface.
+// One nonzero arrival for the sparse step interface.
 struct SessionArrival {
   std::int64_t session = 0;
   Bits bits = 0;
 };
 
 // Column-compressed arrival trace: per slot, only the sessions that
-// actually submit bits, sorted ascending by session id. This is the input
-// format of the event-driven engine — at a million sessions a dense
-// per-slot vector is 8 MB of zeros per slot.
+// actually submit bits, sorted ascending by session id. This is the
+// engine's input format — at a million sessions a dense per-slot vector is
+// 8 MB of zeros per slot.
 struct SparseMultiTrace {
   std::int64_t sessions = 0;
   Time horizon = 0;
@@ -67,9 +67,14 @@ class MultiSessionSystem {
  public:
   virtual ~MultiSessionSystem() = default;
 
-  // Process one slot: enqueue arrivals (one entry per session), update
-  // allocations, serve.
-  virtual void Step(Time now, std::span<const Bits> arrivals) = 0;
+  // Process one slot given only the sessions with nonzero demand, sorted
+  // ascending by session id: enqueue arrivals, update allocations, serve.
+  virtual void StepSparse(Time now,
+                          std::span<const SessionArrival> arrivals) = 0;
+
+  // Dense convenience form (one entry per session): gathers the nonzero
+  // entries and calls StepSparse.
+  virtual void Step(Time now, std::span<const Bits> arrivals);
 
   virtual const SessionChannels& channels() const = 0;
 
@@ -102,33 +107,30 @@ class MultiSessionSystem {
   // on the nondeterministic lane: it must never change behaviour.
   virtual void SetTelemetry(telemetry::RuntimeShard* /*shard*/) {}
 
-  // --- event-driven stepping (optional) ------------------------------------
-  // True when the system implements StepSparse. Systems without it (e.g.
-  // the fault-lane adapter, which must drive every lane every slot) are
-  // run by the event engine through a dense-materialization fallback.
-  virtual bool SupportsSparseStep() const { return false; }
-
-  // Process one slot given only the sessions with nonzero demand, sorted
-  // ascending by session id. Must be behaviorally identical to Step() with
-  // the equivalent dense vector — the differential harness
-  // (tests/engine_equivalence_test.cc) holds implementations to byte-equal
-  // traces. A system instance must be driven through exactly one of
-  // Step()/StepSparse() for its whole life, never a mix.
-  virtual void StepSparse(Time /*now*/,
-                          std::span<const SessionArrival> /*arrivals*/) {
-    BW_REQUIRE(false, "StepSparse: not implemented for this system");
-  }
+  // Every system steps sparsely; always true. Decorators forward it.
+  virtual bool SupportsSparseStep() const { return true; }
 
   // Test hook: shifts the system's scheduled wakeups (phase boundaries,
-  // REDUCE leases) one slot late in the sparse path. The differential
-  // harness's negative control proves such an off-by-one is *caught* by
-  // the byte-identity gate. No effect on the dense path.
+  // REDUCE leases) one slot late. The differential harness's negative
+  // control proves such an off-by-one is *caught* by the byte-identity
+  // gate.
   virtual void PerturbEventWakeupsForTest() {}
+
+  // Test hook: the full-sweep reference. Pins the system's hot set to every
+  // session and puts its SessionChannels in full-sweep mode (every session
+  // reported alloc-dirty and served every slot), so each slot does what a
+  // loop over all k sessions would. The differential harness
+  // (tests/engine_equivalence_test.cc) holds pruned runs to the bytes of
+  // this mode, and the engine checks the channel aggregates and bit
+  // conservation against a full recount every slot while it is on.
+  virtual void FullSweepForTest() {
+    BW_REQUIRE(false, "FullSweepForTest: not implemented for this system");
+  }
 
   // --- dynamic session churn (optional) ------------------------------------
   // True when the system supports mid-run session join/depart: an active-set
   // mask over its channel slots, queue drop + rate zeroing + lease
-  // cancellation on departure. The engines refuse churn plans on systems
+  // cancellation on departure. The engine refuses churn plans on systems
   // that opt out.
   virtual bool SupportsChurn() const { return false; }
 
@@ -157,16 +159,18 @@ class MultiSessionSystem {
   virtual void LoadState(StateReader& /*r*/) {
     BW_REQUIRE(false, "LoadState: not implemented for this system");
   }
+
+ private:
+  std::vector<SessionArrival> dense_step_arrivals_;  // reused by Step
 };
 
-// Counters the event engine reports about its own sparsity; purely
-// informational (never part of MultiRunResult, so results stay comparable
-// across engines). `touched_session_slots` is the denominator for the
+// Counters the engine reports about its own sparsity; purely informational
+// (never part of MultiRunResult, so results stay comparable between pruned
+// and full-sweep runs). `touched_session_slots` is the denominator for the
 // ns/slot-per-active-session bench metric.
 struct EventEngineStats {
   std::int64_t touched_session_slots = 0;  // dirty-session visits, all slots
   std::int64_t arrival_events = 0;         // sparse arrival records fed
-  bool dense_fallback = false;  // system lacked sparse support
 };
 
 struct MultiEngineOptions {
@@ -176,8 +180,7 @@ struct MultiEngineOptions {
   Tracer tracer;
   MetricsRegistry* metrics = nullptr;
   PhaseProfile* profile = nullptr;
-  // Filled by RunMultiSessionEvent when non-null; ignored by the naive
-  // engine.
+  // Filled by RunMultiSessionEvent when non-null.
   EventEngineStats* event_stats = nullptr;
   // Optional live telemetry shard (nondeterministic lane); also handed to
   // the system via SetTelemetry. Null = no live metrics.
@@ -191,19 +194,17 @@ struct MultiEngineOptions {
   ChurnDriver* churn = nullptr;
 };
 
-// `traces[i]` is the arrival trace of session i; all traces must have equal
-// length.
-MultiRunResult RunMultiSession(const std::vector<std::vector<Bits>>& traces,
-                               MultiSessionSystem& system,
-                               const MultiEngineOptions& options = {});
-
-// Event-driven engine: same scoring, same trace bytes, same result as
-// RunMultiSession on the dense expansion of `sparse`, but each slot costs
-// O(sessions touched) instead of O(k). Systems with SupportsSparseStep()
-// are stepped sparsely; others get a dense-materialization fallback (exact,
-// but O(k-ish) inside the system itself).
+// The multi-session engine. Each slot costs O(sessions touched), not O(k):
+// the system is stepped with the slot's sparse arrivals, and only sessions
+// whose allocation changed are scored.
 MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
                                     MultiSessionSystem& system,
                                     const MultiEngineOptions& options = {});
+
+// Dense-trace entry point: `traces[i]` is the arrival trace of session i;
+// all traces must have equal length.
+MultiRunResult RunMultiSessionEvent(
+    const std::vector<std::vector<Bits>>& traces, MultiSessionSystem& system,
+    const MultiEngineOptions& options = {});
 
 }  // namespace bwalloc

@@ -88,7 +88,7 @@ SingleRunResult RunSingleSession(const std::vector<Bits>& arrivals,
       StateReader r(payload);
       CheckpointMeta meta;
       meta.Load(r);
-      if (meta.kind != "single") {
+      if (meta.kind != kSingleCheckpointKind) {
         throw CheckpointError("checkpoint resume blob: kind is '" + meta.kind +
                               "', this engine resumes 'single' checkpoints");
       }
@@ -163,7 +163,7 @@ SingleRunResult RunSingleSession(const std::vector<Bits>& arrivals,
         tracer.Emit(TraceEventType::kCheckpoint, t, -1,
                     util.TotalAllocatedRaw(), t + 1);
         CheckpointMeta meta;
-        meta.kind = "single";
+        meta.kind = kSingleCheckpointKind;
         meta.next_slot = t + 1;
         if (tracer.sink() != nullptr) {
           meta.trace_events = tracer.sink()->events_written();

@@ -1,19 +1,23 @@
-// Deduplicated candidate-session set for the event-driven algorithm paths.
+// Deduplicated candidate-session set for the multi-session algorithms.
 //
-// The event engines keep, per algorithm, the set of sessions that might be
-// in a non-quiescent state (nonempty queue, boosted regular allocation, or
-// nonzero overflow allocation). Stage boundaries iterate this set instead
-// of all k sessions; sessions outside it are provably no-ops for every
-// boundary action, so skipping them is exact, not approximate.
+// Each algorithm keeps the set of sessions that might be in a non-quiescent
+// state (nonempty queue, boosted regular allocation, nonzero overflow
+// allocation, or a regular allocation not yet at its share). Stage
+// boundaries iterate this set instead of all k sessions; sessions outside
+// it are provably no-ops for every boundary action, so skipping them is
+// exact, not approximate. The set starts full, ascending: before the first
+// RESET no session holds its share yet.
 //
 // Add() is O(1) amortized with O(1) duplicate suppression (a flag per
-// session). Boundary processing calls SortAscending() first — the naive
-// engines iterate sessions 0..k-1, and trace bytes must match — then
-// FilterInPlace() to drop sessions the caller has verified quiescent.
+// session). Boundary processing calls SortAscending() first — trace bytes
+// must come out in session order, as a loop over 0..k-1 would emit them —
+// then FilterInPlace() to drop sessions the caller has verified quiescent.
+// PinAll() (the full-sweep test hook) makes the set every session for good.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "state/serializer.h"
@@ -24,7 +28,23 @@ namespace bwalloc {
 class HotSet {
  public:
   explicit HotSet(std::int64_t sessions)
-      : member_(static_cast<std::size_t>(sessions), 0) {}
+      : member_(static_cast<std::size_t>(sessions)) {
+    Fill();
+  }
+
+  // Makes the set every session, ascending. O(k).
+  void Fill() {
+    std::fill(member_.begin(), member_.end(), 1);
+    items_.resize(member_.size());
+    std::iota(items_.begin(), items_.end(), std::int64_t{0});
+  }
+
+  // Every session, ascending, from now on: FilterInPlace and LoadState
+  // keep the set full.
+  void PinAll() {
+    pinned_ = true;
+    Fill();
+  }
 
   void Add(std::int64_t session) {
     auto& flag = member_[static_cast<std::size_t>(session)];
@@ -43,6 +63,7 @@ class HotSet {
   // set. Call only outside iteration. Preserves current item order.
   template <typename Keep>
   void FilterInPlace(Keep&& keep) {
+    if (pinned_) return;
     std::size_t w = 0;
     for (std::size_t r = 0; r < items_.size(); ++r) {
       const std::int64_t i = items_[r];
@@ -87,11 +108,13 @@ class HotSet {
       member_[static_cast<std::size_t>(s)] = 1;
       items_.push_back(s);
     }
+    if (pinned_) Fill();
   }
 
  private:
   std::vector<char> member_;
   std::vector<std::int64_t> items_;
+  bool pinned_ = false;
 };
 
 }  // namespace bwalloc

@@ -126,7 +126,7 @@ struct MultiRunResult {
 
   // Exact equality (histograms, raw Q16 values, and the derived doubles,
   // which are deterministic functions of exact integers). The differential
-  // engine harness asserts naive == event on whole results.
+  // harness asserts pruned == full-sweep on whole results.
   friend bool operator==(const MultiRunResult&, const MultiRunResult&) =
       default;
 };

@@ -9,10 +9,11 @@
 // whose bits are always older — first, at the session's total rate).
 //
 // The aggregate views (TotalRegular/TotalOverflow/TotalQueued) are
-// maintained incrementally as exact integer sums, so both engines read them
+// maintained incrementally as exact integer sums, so the engine reads them
 // in O(1); integer addition is order-independent, so the incremental values
-// are bit-identical to the O(k) loops they replaced. Two further structures
-// exist purely for the event-driven engine:
+// are bit-identical to a recount over all k sessions (full-sweep mode
+// re-checks exactly that every slot). Two further structures exist purely
+// for the engine's sparse stepping:
 //   - an active-session list (sessions with any queued bits) that lets
 //     ServeActiveSlot skip sessions for which ServeSession is provably a
 //     no-op (empty queues never deliver and never bank credit);
@@ -20,9 +21,12 @@
 //     variables changed this slot, drained by the engine's trace-emission
 //     shadow compare. Tracking state is observer metadata, hence mutable —
 //     the engine only holds a const reference.
+// Full-sweep mode (a test hook, see MultiSessionSystem::FullSweepForTest)
+// bypasses both: every session is served and reported dirty every slot.
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "sim/bit_queue.h"
@@ -170,6 +174,7 @@ class SessionChannels {
   // disciplines zero their credit when the queues are empty). Sessions that
   // drain during the pass are dropped from the active list.
   Bits ServeActiveSlot(Time now) {
+    if (full_sweep_) return ServeSlot(now);
     Bits served = 0;
     std::size_t w = 0;
     for (std::size_t r = 0; r < active_.size(); ++r) {
@@ -199,13 +204,41 @@ class SessionChannels {
   }
 
   // Moves the accumulated dirty-session list into `out` (unsorted) and
-  // resets the tracker for the next slot.
+  // resets the tracker for the next slot. In full-sweep mode `out` is every
+  // session, ascending.
   void DrainAllocDirty(std::vector<std::int64_t>* out) const {
     out->clear();
     out->swap(alloc_dirty_);
     for (const std::int64_t i : *out) {
       alloc_dirty_flag_[static_cast<std::size_t>(i)] = 0;
     }
+    if (full_sweep_) {
+      out->resize(sessions_);
+      std::iota(out->begin(), out->end(), std::int64_t{0});
+    }
+  }
+
+  // --- full-sweep reference (test hook) -------------------------------------
+  void EnableFullSweepForTest() { full_sweep_ = true; }
+  bool full_sweep() const { return full_sweep_; }
+
+  // Recounts TotalRegular/TotalOverflow/TotalQueued over all sessions and
+  // aborts on any mismatch with the incremental values.
+  void CheckTotalsAgainstRecount() const {
+    std::int64_t regular_raw = 0;
+    std::int64_t overflow_raw = 0;
+    Bits queued = 0;
+    for (std::size_t i = 0; i < sessions_; ++i) {
+      regular_raw += regular_bw_[i].raw();
+      overflow_raw += overflow_bw_[i].raw();
+      queued += regular_queue_[i].size() + overflow_queue_[i].size();
+    }
+    BW_CHECK(regular_raw == total_regular_raw_,
+             "TotalRegular differs from a recount over all sessions");
+    BW_CHECK(overflow_raw == total_overflow_raw_,
+             "TotalOverflow differs from a recount over all sessions");
+    BW_CHECK(queued == total_queued_,
+             "TotalQueued differs from a recount over all sessions");
   }
 
   // --- measurement ------------------------------------------------------------
@@ -287,7 +320,7 @@ class SessionChannels {
   }
 
   // Drops active-list entries whose session went empty through a path that
-  // bypasses ServeActiveSlot (e.g. the naive full ServeSlot).
+  // bypasses ServeActiveSlot (the full ServeSlot).
   void CompactActive() {
     std::size_t w = 0;
     for (std::size_t r = 0; r < active_.size(); ++r) {
@@ -337,6 +370,7 @@ class SessionChannels {
   Bits total_queued_ = 0;
   std::vector<std::int64_t> active_;
   std::vector<char> in_active_;
+  bool full_sweep_ = false;
   mutable bool track_alloc_dirty_ = false;
   mutable std::vector<char> alloc_dirty_flag_;
   mutable std::vector<std::int64_t> alloc_dirty_;

@@ -57,7 +57,13 @@ class CrashInjected : public std::runtime_error {
 };
 
 inline constexpr std::string_view kCheckpointMagic = "BWCKPT1\n";
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+// Bumped whenever a payload layout changes; other versions are refused.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
+
+// CheckpointMeta::kind of each engine's checkpoints. A resume refuses any
+// other kind.
+inline constexpr std::string_view kSingleCheckpointKind = "single";
+inline constexpr std::string_view kMultiCheckpointKind = "multi-event";
 
 // CRC-32 (IEEE 802.3 polynomial, the zlib convention).
 std::uint32_t Crc32(std::string_view data);
@@ -80,7 +86,7 @@ std::string ReadCheckpointFile(const std::string& path);
 
 // Header section every engine writes first into a checkpoint payload.
 struct CheckpointMeta {
-  std::string kind;  // "single" | "multi" | "multi-event"
+  std::string kind;  // kSingleCheckpointKind | kMultiCheckpointKind
   Time next_slot = 0;               // first slot the resumed run executes
   std::int64_t trace_events = 0;    // journal events emitted at capture
   std::int64_t journal_bytes = 0;   // journal byte offset at capture

@@ -101,6 +101,14 @@ std::vector<std::vector<Bits>> MultiSessionWorkload(
   // Epoch length: long enough that an offline server would hold an
   // allocation for a while, short enough that several epochs fit.
   const Time epoch = std::max<Time>(8 * offline_delay, horizon / 16);
+  // kSkewed's harmonic normalizer H_k, summed once (j = 0..k-1, the order
+  // the traces were pinned with).
+  double harmonic = 0;
+  if (kind == MultiWorkloadKind::kSkewed) {
+    for (std::size_t j = 0; j < k; ++j) {
+      harmonic += 1.0 / static_cast<double>(j + 1);
+    }
+  }
 
   for (Time t = 0; t < horizon; ++t) {
     const auto tt = static_cast<std::size_t>(t);
@@ -130,11 +138,7 @@ std::vector<std::vector<Bits>> MultiSessionWorkload(
         }
         case MultiWorkloadKind::kSkewed: {
           const double weight = 1.0 / static_cast<double>(i + 1);
-          double norm = 0;
-          for (std::size_t j = 0; j < k; ++j) {
-            norm += 1.0 / static_cast<double>(j + 1);
-          }
-          mean = 0.7 * static_cast<double>(offline_bw) * weight / norm;
+          mean = 0.7 * static_cast<double>(offline_bw) * weight / harmonic;
           break;
         }
       }

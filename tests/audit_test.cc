@@ -268,7 +268,7 @@ MultiRunResult RunChurnTraced(TraceSink* sink, std::int64_t* sessions_out) {
   opt.churn = &driver;
   opt.tracer = Tracer(sink, kAllEvents, {"t", 0});
   if (sessions_out != nullptr) *sessions_out = plan.sessions;
-  return RunMultiSession(plan.MaterializeTraces(), system, opt);
+  return RunMultiSessionEvent(plan.MaterializeTraces(), system, opt);
 }
 
 TEST(Auditor, ChurnedRunAuditsClean) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/admission.h"
 #include "core/multi_phased.h"
@@ -188,7 +189,7 @@ TEST(CheckpointEnvelopeTest, TornWriteRejected) {
 
 TEST(CheckpointEnvelopeTest, Crc32MatchesKnownVector) {
   // The classic IEEE CRC-32 check value — pins the polynomial and the
-  // reflection convention so version-1 files stay readable forever.
+  // reflection convention every envelope version has used.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0x00000000u);
 }
@@ -217,15 +218,24 @@ TEST(CheckpointMetaTest, DebugJsonSummarizesEnvelopeAndMeta) {
   EXPECT_NE(json.find("\"kind\":\"single\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"next_slot\":128"), std::string::npos) << json;
   EXPECT_NE(json.find("\"trace_events\":17"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"version\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"version\":" + std::to_string(kCheckpointVersion)),
+            std::string::npos)
+      << json;
 }
 
 // --- file layer ---------------------------------------------------------------
 
+// Each test gets its own directory (test name + pid): ctest runs these
+// tests as parallel processes, and one test's TearDown must never delete
+// the directory another is writing to.
 class CheckpointFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "bwalloc_ckpt_file_test";
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = std::filesystem::temp_directory_path() /
+           ("bwalloc_ckpt_file_test." + name + "." +
+            std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
@@ -334,7 +344,7 @@ std::string ChurnedCheckpointBlob() {
   std::string blob;
   opt.checkpoint.every = 64;
   opt.checkpoint.capture = &blob;
-  RunMultiSession(plan.MaterializeTraces(), system, opt);
+  RunMultiSessionEvent(plan.MaterializeTraces(), system, opt);
   EXPECT_FALSE(blob.empty());
   return blob;
 }
@@ -366,7 +376,7 @@ bool ResumeRejectsStructurally(const std::string& blob) {
   opt.churn = &driver;
   opt.checkpoint.resume = &blob;
   try {
-    RunMultiSession(plan.MaterializeTraces(), system, opt);
+    RunMultiSessionEvent(plan.MaterializeTraces(), system, opt);
     return false;
   } catch (const CheckpointError&) {
     return true;

@@ -69,7 +69,7 @@ TEST(CombinedOnline, DeclaredTotalWithinSevenBo) {
       MultiWorkloadKind::kRotatingHotspot, 4, 64, 8, 4000, 41);
   MultiEngineOptions opt;
   opt.drain_slots = 64;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   // B_on <= 2 B_O on feasible input, so 4 B_on + 2 B_O <= 10 B_O in the
   // worst transient; in steady state it stays within B_A = 7 B_O. Check
   // the declared reservation never exceeded 4*2B_O + 2B_O.
@@ -89,7 +89,7 @@ TEST(CombinedOnline, DelayBoundedOnSuiteWorkloads) {
     const auto traces = MultiSessionWorkload(kind, 4, 64, 8, 4000, 42);
     MultiEngineOptions opt;
     opt.drain_slots = 64;
-    const MultiRunResult r = RunMultiSession(traces, sys, opt);
+    const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
     // Section 4 claims D_A = 2 D_O; our slotted realization re-times
     // overflow drains on local-stage restarts, so allow one extra D_O.
     EXPECT_LE(r.delay.max_delay(), 3 * p.offline_delay);
@@ -108,7 +108,7 @@ TEST(CombinedOnline, ContinuousInnerMeetsSameGuarantees) {
     const auto traces = MultiSessionWorkload(kind, 4, 64, 8, 4000, 45);
     MultiEngineOptions opt;
     opt.drain_slots = 64;
-    const MultiRunResult r = RunMultiSession(traces, sys, opt);
+    const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
     EXPECT_LE(r.delay.max_delay(), 3 * p.offline_delay);
     EXPECT_EQ(r.final_queue, 0);
     EXPECT_EQ(r.total_arrivals, r.total_delivered);
@@ -124,8 +124,8 @@ TEST(CombinedOnline, ContinuousInnerReactsWithoutPhaseBoundaries) {
       MultiWorkloadKind::kRotatingHotspot, 4, 64, 8, 4000, 46);
   MultiEngineOptions opt;
   opt.drain_slots = 64;
-  const MultiRunResult rc = RunMultiSession(traces, continuous, opt);
-  const MultiRunResult rp = RunMultiSession(traces, phased, opt);
+  const MultiRunResult rc = RunMultiSessionEvent(traces, continuous, opt);
+  const MultiRunResult rp = RunMultiSessionEvent(traces, phased, opt);
   // Reacting per arrival instead of per D_O boundary buys lower typical
   // delay (the Fig. 5 pitch), at a bandwidth budget of 8 B_O vs 7 B_O.
   EXPECT_LE(rc.delay.MeanDelay(), rp.delay.MeanDelay() + 0.5);
@@ -138,7 +138,7 @@ TEST(CombinedOnline, GlobalChangesTrackBonLadder) {
       MultiWorkloadKind::kRotatingHotspot, 4, 64, 8, 6000, 43);
   MultiEngineOptions opt;
   opt.drain_slots = 64;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   // Global changes are transitions of 4*B_on + 2*B_O: at most
   // log2(2 B_O) + 1 per global stage.
   const double per_stage = 8.0;  // log2(128) + 1

@@ -19,13 +19,17 @@
 //   4. build a fresh system, resume the engine from the blob, and let it
 //      append to the truncated journal.
 //
-// Grids cover all four multi-session algorithm variants on both engines
-// (naive and event-driven), the single-session algorithm, fault-free and
-// faulted control planes, crashes before the first checkpoint (cold
-// restart), exactly on a checkpoint slot, and mid-interval — swept at
-// several --jobs values to pin schedule independence. Negative controls
-// prove the gate has teeth: a restore whose state is nudged by one raw
-// unit must diverge, and a blob with one flipped bit must be rejected.
+// Multi-session cells hold the crashed-and-resumed run — pruned or
+// full-sweep (MultiSessionSystem::FullSweepForTest) — to the bytes of the
+// straight full-sweep run, so each cell gates restore exactness and
+// pruning exactness at once. Grids cover all four multi-session algorithm
+// variants, the single-session algorithm, fault-free and faulted control
+// planes, crashes before the first checkpoint (cold restart), exactly on a
+// checkpoint slot, and mid-interval — swept at several --jobs values to
+// pin schedule independence. Negative controls prove the gate has teeth:
+// a restore whose state is nudged by one raw unit must diverge, and a blob
+// with one flipped bit, a stale envelope version, or the removed naive
+// engine's kind must be rejected.
 
 #include <cstdint>
 #include <memory>
@@ -57,6 +61,7 @@
 #include "sim/engine_multi.h"
 #include "sim/engine_single.h"
 #include "state/checkpoint.h"
+#include "state/serializer.h"
 #include "traffic/arrivals.h"
 #include "traffic/workload_suite.h"
 #include "util/fixed_point.h"
@@ -67,7 +72,7 @@ namespace {
 
 const TraceContext kCtx{"crash", 0};
 
-enum class EngineKind { kNaive, kEvent };
+enum class Sweep { kPruned, kFull };
 
 // The three artifacts whose bytes must survive a crash.
 struct Artifacts {
@@ -166,7 +171,7 @@ struct MultiSpec {
   std::uint64_t seed = 1;
   std::int64_t hops = 0;
   FaultPlan plan;
-  EngineKind engine = EngineKind::kNaive;
+  Sweep sweep = Sweep::kPruned;
   Time every = 64;
   Time crash_at = 257;
 
@@ -182,7 +187,7 @@ struct MultiSpec {
   std::string Label() const {
     std::string s = algo + "/" + ToString(kind) + "/k=" + std::to_string(k) +
                     "/seed=" + std::to_string(seed) +
-                    (engine == EngineKind::kNaive ? "/naive" : "/event") +
+                    (sweep == Sweep::kFull ? "/full-sweep" : "/pruned") +
                     "/crash=" + std::to_string(crash_at);
     if (hops > 0) s += "/hops=" + std::to_string(hops);
     if (churned) {
@@ -270,6 +275,7 @@ std::unique_ptr<MultiSessionSystem> MakeSystem(const MultiSpec& spec,
     *robust_out = adapter.get();
     sys = std::move(adapter);
   }
+  if (spec.sweep == Sweep::kFull) sys->FullSweepForTest();
   return sys;
 }
 
@@ -299,16 +305,6 @@ MultiEngineOptions BaseMultiOptions(const MultiSpec& spec) {
   return opt;
 }
 
-MultiRunResult RunMultiEngine(const MultiSpec& spec,
-                              const std::vector<std::vector<Bits>>& traces,
-                              MultiSessionSystem& sys,
-                              const MultiEngineOptions& opt) {
-  if (spec.engine == EngineKind::kNaive) {
-    return RunMultiSession(traces, sys, opt);
-  }
-  return RunMultiSessionEvent(SparseMultiTrace::FromDense(traces), sys, opt);
-}
-
 Artifacts StraightMulti(const MultiSpec& spec_in) {
   MultiSpec spec = spec_in;
   ChurnState churn;
@@ -326,7 +322,7 @@ Artifacts StraightMulti(const MultiSpec& spec_in) {
   opt.checkpoint.every = spec.every;
   opt.checkpoint.capture = &blob;
 
-  MultiRunResult r = RunMultiEngine(spec, traces, *sys, opt);
+  MultiRunResult r = RunMultiSessionEvent(traces, *sys, opt);
   if (robust != nullptr) {
     r.faults = robust->fault_stats();
     r.per_session_faults = robust->per_session_fault_stats();
@@ -358,7 +354,7 @@ Artifacts CrashAndResumeMulti(const MultiSpec& spec_in,
     opt.checkpoint.crash_at = spec.crash_at;
     bool crashed = false;
     try {
-      RunMultiEngine(spec, traces, *sys, opt);
+      RunMultiSessionEvent(traces, *sys, opt);
     } catch (const CrashInjected&) {
       crashed = true;
     }
@@ -389,7 +385,7 @@ Artifacts CrashAndResumeMulti(const MultiSpec& spec_in,
     opt.checkpoint.resume = &blob;
     opt.checkpoint.perturb_restore_for_test = perturb_restore;
   }
-  MultiRunResult r = RunMultiEngine(spec, traces, *sys, opt);
+  MultiRunResult r = RunMultiSessionEvent(traces, *sys, opt);
   if (robust != nullptr) {
     r.faults = robust->fault_stats();
     r.per_session_faults = robust->per_session_fault_stats();
@@ -398,8 +394,12 @@ Artifacts CrashAndResumeMulti(const MultiSpec& spec_in,
   return {sink.ToNdjson(), auditor.ReportJson(), ToJson(r)};
 }
 
+// The crashed-and-resumed run (pruned or full-sweep, per spec.sweep)
+// against the straight full-sweep reference.
 std::string CompareMulti(const MultiSpec& spec) {
-  return CompareArtifacts(spec.Label(), StraightMulti(spec),
+  MultiSpec reference = spec;
+  reference.sweep = Sweep::kFull;
+  return CompareArtifacts(spec.Label(), StraightMulti(reference),
                           CrashAndResumeMulti(spec));
 }
 
@@ -541,8 +541,9 @@ std::string CompareSingle(const SingleSpec& spec) {
 const std::vector<std::string> kAlgos = {"phased", "continuous", "combined",
                                          "combined-continuous"};
 
-// All four multi algorithms x both engines x {fault-free, faulted}, swept
-// at --jobs 4. Crash slot 257 sits mid-interval past four checkpoints.
+// All four multi algorithms x {pruned, full-sweep} x {fault-free, faulted},
+// swept at --jobs 4. Crash slot 257 sits mid-interval past four
+// checkpoints.
 TEST(CrashRecovery, MultiGridIsByteIdentical) {
   const std::int64_t count = static_cast<std::int64_t>(kAlgos.size() * 2 * 2);
   SweepOptions sweep;
@@ -554,7 +555,7 @@ TEST(CrashRecovery, MultiGridIsByteIdentical) {
         MultiSpec spec;
         spec.algo = kAlgos[static_cast<std::size_t>(idx) % kAlgos.size()];
         idx /= static_cast<std::int64_t>(kAlgos.size());
-        spec.engine = idx % 2 == 0 ? EngineKind::kNaive : EngineKind::kEvent;
+        spec.sweep = idx % 2 == 0 ? Sweep::kFull : Sweep::kPruned;
         idx /= 2;
         if (idx % 2 == 1) {
           spec.hops = 2;
@@ -587,7 +588,7 @@ TEST(CrashRecovery, ChurnedMultiGridIsByteIdentical) {
         spec.churned = true;
         spec.algo = kAlgos[static_cast<std::size_t>(idx) % kAlgos.size()];
         idx /= static_cast<std::int64_t>(kAlgos.size());
-        spec.engine = idx % 2 == 0 ? EngineKind::kNaive : EngineKind::kEvent;
+        spec.sweep = idx % 2 == 0 ? Sweep::kFull : Sweep::kPruned;
         idx /= 2;
         if (idx % 2 == 0) {
           // Booked-ahead Poisson arrivals through the slot ledger, with an
@@ -633,7 +634,7 @@ TEST(CrashRecovery, CrashPositionsAreByteIdentical) {
         idx /= static_cast<std::int64_t>(crashes.size());
         spec.algo = algos[static_cast<std::size_t>(idx) % algos.size()];
         idx /= static_cast<std::int64_t>(algos.size());
-        spec.engine = idx % 2 == 0 ? EngineKind::kNaive : EngineKind::kEvent;
+        spec.sweep = idx % 2 == 0 ? Sweep::kFull : Sweep::kPruned;
         spec.kind = MultiWorkloadKind::kChurn;
         spec.seed = 9;
         return CompareMulti(spec);
@@ -692,7 +693,7 @@ TEST(CrashRecovery, StableAcrossJobs) {
           MultiSpec spec;
           spec.algo = algos[static_cast<std::size_t>(idx) % algos.size()];
           idx /= static_cast<std::int64_t>(algos.size());
-          spec.engine = idx % 2 == 0 ? EngineKind::kNaive : EngineKind::kEvent;
+          spec.sweep = idx % 2 == 0 ? Sweep::kFull : Sweep::kPruned;
           spec.seed = 21;
           const std::string verdict = CompareMulti(spec);
           if (!verdict.empty()) return verdict;
@@ -741,56 +742,69 @@ TEST(CrashRecovery, PerturbedRestoreIsCaught) {
                           "undetected";
 }
 
+// The last checkpoint blob of a default multi spec crashed at spec.crash_at.
+std::string CaptureMultiBlob(const MultiSpec& spec) {
+  const std::vector<std::vector<Bits>> traces = MultiSessionWorkload(
+      spec.kind, spec.k, spec.bo, spec.d_o, spec.horizon, spec.seed);
+  std::string blob;
+  RobustMultiSessionAdapter* robust = nullptr;
+  std::unique_ptr<MultiSessionSystem> sys = MakeSystem(spec, &robust);
+  MultiEngineOptions opt = BaseMultiOptions(spec);
+  opt.checkpoint.every = spec.every;
+  opt.checkpoint.capture = &blob;
+  opt.checkpoint.crash_at = spec.crash_at;
+  EXPECT_THROW(RunMultiSessionEvent(traces, *sys, opt), CrashInjected);
+  return blob;
+}
+
+void ExpectResumeRejected(const MultiSpec& spec, const std::string& blob) {
+  const std::vector<std::vector<Bits>> traces = MultiSessionWorkload(
+      spec.kind, spec.k, spec.bo, spec.d_o, spec.horizon, spec.seed);
+  RobustMultiSessionAdapter* robust = nullptr;
+  std::unique_ptr<MultiSessionSystem> sys = MakeSystem(spec, &robust);
+  MultiEngineOptions opt = BaseMultiOptions(spec);
+  opt.checkpoint.resume = &blob;
+  EXPECT_THROW(RunMultiSessionEvent(traces, *sys, opt), CheckpointError);
+}
+
 // A checkpoint blob with one flipped payload bit must be rejected at
 // resume time, never silently restored.
 TEST(CrashRecovery, CorruptedBlobIsRejectedAtResume) {
-  MultiSpec spec;
-  const std::vector<std::vector<Bits>> traces = MultiSessionWorkload(
-      spec.kind, spec.k, spec.bo, spec.d_o, spec.horizon, spec.seed);
-  std::string blob;
-  {
-    RobustMultiSessionAdapter* robust = nullptr;
-    std::unique_ptr<MultiSessionSystem> sys = MakeSystem(spec, &robust);
-    MultiEngineOptions opt = BaseMultiOptions(spec);
-    opt.checkpoint.every = spec.every;
-    opt.checkpoint.capture = &blob;
-    opt.checkpoint.crash_at = spec.crash_at;
-    EXPECT_THROW(RunMultiSession(traces, *sys, opt), CrashInjected);
-  }
+  const MultiSpec spec;
+  std::string blob = CaptureMultiBlob(spec);
   ASSERT_FALSE(blob.empty());
   blob.back() = static_cast<char>(blob.back() ^ 0x01);
-
-  RobustMultiSessionAdapter* robust = nullptr;
-  std::unique_ptr<MultiSessionSystem> sys = MakeSystem(spec, &robust);
-  MultiEngineOptions opt = BaseMultiOptions(spec);
-  opt.checkpoint.resume = &blob;
-  EXPECT_THROW(RunMultiSession(traces, *sys, opt), CheckpointError);
+  ExpectResumeRejected(spec, blob);
 }
 
-// A blob captured by one engine kind must not restore into another.
+// A blob of the removed naive engine's kind "multi" must not restore, even
+// inside a current-version envelope.
 TEST(CrashRecovery, KindMismatchIsRejected) {
-  MultiSpec spec;
-  const std::vector<std::vector<Bits>> traces = MultiSessionWorkload(
-      spec.kind, spec.k, spec.bo, spec.d_o, spec.horizon, spec.seed);
-  std::string blob;
-  {
-    RobustMultiSessionAdapter* robust = nullptr;
-    std::unique_ptr<MultiSessionSystem> sys = MakeSystem(spec, &robust);
-    MultiEngineOptions opt = BaseMultiOptions(spec);
-    opt.checkpoint.every = spec.every;
-    opt.checkpoint.capture = &blob;
-    opt.checkpoint.crash_at = spec.crash_at;
-    EXPECT_THROW(RunMultiSession(traces, *sys, opt), CrashInjected);
-  }
+  const MultiSpec spec;
+  const std::string blob = CaptureMultiBlob(spec);
   ASSERT_FALSE(blob.empty());
-  // The naive engine wrote kind "multi"; the event engine must refuse it.
-  RobustMultiSessionAdapter* robust = nullptr;
-  std::unique_ptr<MultiSessionSystem> sys = MakeSystem(spec, &robust);
-  MultiEngineOptions opt = BaseMultiOptions(spec);
-  opt.checkpoint.resume = &blob;
-  EXPECT_THROW(
-      RunMultiSessionEvent(SparseMultiTrace::FromDense(traces), *sys, opt),
-      CheckpointError);
+  const std::string payload = UnwrapCheckpoint(blob, "capture");
+  StateReader r(payload);
+  CheckpointMeta meta;
+  meta.Load(r);
+  ASSERT_EQ(meta.kind, kMultiCheckpointKind);
+  meta.kind = "multi";
+  StateWriter w;
+  meta.Save(w);
+  ExpectResumeRejected(
+      spec, WrapCheckpoint(w.bytes() +
+                           payload.substr(payload.size() - r.remaining())));
+}
+
+// A version-1 envelope predates the single engine's layout: refused before
+// any of it is parsed.
+TEST(CrashRecovery, VersionOneBlobIsRejected) {
+  const MultiSpec spec;
+  std::string blob = CaptureMultiBlob(spec);
+  ASSERT_FALSE(blob.empty());
+  // The version u32 (little-endian) sits immediately after the magic.
+  blob.replace(kCheckpointMagic.size(), 4, std::string("\x01\0\0\0", 4));
+  ExpectResumeRejected(spec, blob);
 }
 
 // The auditor's checkpoint monitor: a kRestore that does not match the
@@ -887,7 +901,7 @@ TEST(SupervisedRunner, CrashedCellsRecoverToIdenticalBytes) {
     Auditor auditor = RecoverAuditor(AuditConfig{}, resume_blob, sink);
     AuditingSink audit_sink(&auditor, &sink);
     opt.tracer = Tracer(&audit_sink, kAllEvents, kCtx);
-    const MultiRunResult r = RunMultiEngine(spec, traces, *sys, opt);
+    const MultiRunResult r = RunMultiSessionEvent(traces, *sys, opt);
     return sink.ToNdjson() + "\n---\n" + ToJson(r);
   };
 

@@ -1,20 +1,25 @@
-// Differential harness gating the event-driven multi-session engine.
+// Differential harness gating the multi-session engine's pruning.
 //
-// The event engine (RunMultiSessionEvent + the algorithms' StepSparse
-// paths) promises *byte identity* with the naive engine: same NDJSON
+// The engine (RunMultiSessionEvent + the algorithms' hot sets and the
+// channels' dirty/active lists) touches only the sessions that can change
+// in a slot. It promises *byte identity* with the full-sweep reference —
+// the same run with MultiSessionSystem::FullSweepForTest() armed, where
+// every session is swept, scored and served every slot: same NDJSON
 // trace, same auditor report, same MultiRunResult — not "statistically
 // close", identical. This file is that gate. Each cell of a property grid
-// runs the same workload through both engines with full tracing and a
+// runs the same workload pruned and full-sweep with full tracing and a
 // live auditor, then compares the three artifacts byte for byte. Grids
 // cover all three algorithms (plus the combined algorithm's continuous
 // inner variant), every multi-session workload shape, fault-free and
-// faulted control planes, and multiple ParallelSweep --jobs values.
+// faulted control planes, and multiple ParallelSweep --jobs values. The
+// full-sweep runs also re-check the channel aggregates and bit
+// conservation against a recount every slot (in the engine).
 //
-// The negative control proves the gate has teeth: an engine whose
-// scheduled wakeups (phase boundaries, REDUCE leases) fire one slot late
-// — armed via PerturbEventWakeupsForTest() — must produce *different*
-// bytes on a workload that exercises those wakeups. If the perturbed run
-// ever compares equal, the harness has gone blind and the test fails.
+// The negative control proves the gate has teeth: a run whose scheduled
+// wakeups (phase boundaries, REDUCE leases) fire one slot late — armed
+// via PerturbEventWakeupsForTest() — must produce *different* bytes on a
+// workload that exercises those wakeups. If the perturbed run ever
+// compares equal, the harness has gone blind and the test fails.
 
 #include <cstdint>
 #include <memory>
@@ -39,6 +44,7 @@
 #include "sim/churn.h"
 #include "sim/engine_multi.h"
 #include "traffic/arrivals.h"
+#include "traffic/sparse_bursts.h"
 #include "traffic/workload_suite.h"
 #include "util/fixed_point.h"
 #include "util/types.h"
@@ -46,7 +52,7 @@
 namespace bwalloc {
 namespace {
 
-enum class Engine { kNaive, kEvent, kEventPerturbed };
+enum class Mode { kFullSweep, kPruned, kPrunedPerturbed };
 
 struct RunSpec {
   std::string algo = "phased";  // phased|continuous|combined|combined-continuous
@@ -58,6 +64,8 @@ struct RunSpec {
   std::uint64_t seed = 1;
   std::int64_t hops = 0;  // > 0 wraps the fault-lane adapter
   FaultPlan plan;
+  // Heavy-tail sparse bursts (SparseBurstTrace) instead of `kind`.
+  bool bursts = false;
 
   // Session churn: when `churned`, the workload comes from a generated
   // ChurnPlan (k is overwritten by the plan's channel count) and the run
@@ -71,8 +79,8 @@ struct RunSpec {
   std::int64_t max_pending = 0;
 
   std::string Label() const {
-    std::string s = algo + "/" + ToString(kind) + "/k=" + std::to_string(k) +
-                    "/seed=" + std::to_string(seed);
+    std::string s = algo + "/" + (bursts ? "bursts" : ToString(kind)) +
+                    "/k=" + std::to_string(k) + "/seed=" + std::to_string(seed);
     if (hops > 0) s += "/hops=" + std::to_string(hops);
     if (churned) {
       s += std::string("/churn=") + ToString(arrivals) + "+" +
@@ -138,15 +146,24 @@ AuditConfig MakeAuditConfig(const RunSpec& spec) {
   return cfg;
 }
 
-RunArtifacts RunOne(const RunSpec& spec_in, Engine engine) {
+RunArtifacts RunOne(const RunSpec& spec_in, Mode mode) {
   RunSpec spec = spec_in;
   // The plan, policy, and driver live here so they outlive the engine call;
   // each RunOne builds fresh ones (the driver and policy are stateful).
   ChurnPlan plan;
   std::optional<AdmissionController> policy;
   std::optional<ChurnDriver> driver;
-  std::vector<std::vector<Bits>> traces;
-  if (spec.churned) {
+  SparseMultiTrace sparse;
+  if (spec.bursts) {
+    SparseBurstParams bp;
+    bp.sessions = spec.k;
+    bp.horizon = spec.horizon;
+    bp.bursts_per_slot = static_cast<double>(spec.k) / 256.0;
+    bp.burst_scale = 32;
+    bp.tail_cap = 6;
+    bp.seed = spec.seed;
+    sparse = SparseBurstTrace(bp);
+  } else if (spec.churned) {
     ArrivalParams ap;
     ap.horizon = spec.horizon;
     ap.offline_bandwidth = spec.bo;
@@ -156,7 +173,7 @@ RunArtifacts RunOne(const RunSpec& spec_in, Engine engine) {
     ap.seed = spec.seed;
     plan = GenerateArrivals(spec.arrivals, ap);
     spec.k = plan.sessions;
-    traces = plan.MaterializeTraces();
+    sparse = SparseMultiTrace::FromDense(plan.MaterializeTraces());
     AdmissionConfig ac;
     ac.policy = spec.admission;
     ac.capacity = spec.bo;
@@ -165,8 +182,8 @@ RunArtifacts RunOne(const RunSpec& spec_in, Engine engine) {
     policy.emplace(ac);
     driver.emplace(plan, *policy, spec.max_pending);
   } else {
-    traces = MultiSessionWorkload(spec.kind, spec.k, spec.bo, spec.d_o,
-                                  spec.horizon, spec.seed);
+    sparse = SparseMultiTrace::FromDense(MultiSessionWorkload(
+        spec.kind, spec.k, spec.bo, spec.d_o, spec.horizon, spec.seed));
   }
 
   std::unique_ptr<MultiSessionSystem> sys = MakeSystem(spec);
@@ -190,14 +207,10 @@ RunArtifacts RunOne(const RunSpec& spec_in, Engine engine) {
   opt.tracer = Tracer(&audit_sink, kAllEvents, {"eq", 0});
 
   RunArtifacts out;
-  if (engine == Engine::kNaive) {
-    out.result = RunMultiSession(traces, *sys, opt);
-  } else {
-    opt.event_stats = &out.stats;
-    const SparseMultiTrace sparse = SparseMultiTrace::FromDense(traces);
-    if (engine == Engine::kEventPerturbed) sys->PerturbEventWakeupsForTest();
-    out.result = RunMultiSessionEvent(sparse, *sys, opt);
-  }
+  opt.event_stats = &out.stats;
+  if (mode == Mode::kFullSweep) sys->FullSweepForTest();
+  if (mode == Mode::kPrunedPerturbed) sys->PerturbEventWakeupsForTest();
+  out.result = RunMultiSessionEvent(sparse, *sys, opt);
   if (robust != nullptr) {
     out.result.faults = robust->fault_stats();
     out.result.per_session_faults = robust->per_session_fault_stats();
@@ -222,41 +235,41 @@ std::string DescribeFirstDiff(const std::string& a, const std::string& b) {
     const std::string lb = b.substr(bi, be == std::string::npos ? b.size() - bi
                                                                 : be - bi);
     if (la != lb) {
-      return "line " + std::to_string(line) + ": naive=" + la +
-             " event=" + lb;
+      return "line " + std::to_string(line) + ": full-sweep=" + la +
+             " pruned=" + lb;
     }
     if (ae == std::string::npos || be == std::string::npos) break;
     ai = ae + 1;
     bi = be + 1;
     ++line;
   }
-  return "line " + std::to_string(line) + ": one trace ends early (naive " +
-         std::to_string(a.size()) + " bytes, event " + std::to_string(b.size()) +
-         " bytes)";
+  return "line " + std::to_string(line) +
+         ": one trace ends early (full-sweep " + std::to_string(a.size()) +
+         " bytes, pruned " + std::to_string(b.size()) + " bytes)";
 }
 
-// "" when the event engine reproduced the naive engine byte for byte.
-std::string CompareEngines(const RunSpec& spec) {
-  const RunArtifacts naive = RunOne(spec, Engine::kNaive);
-  const RunArtifacts event = RunOne(spec, Engine::kEvent);
-  if (naive.trace_ndjson != event.trace_ndjson) {
+// "" when the pruned run reproduced the full-sweep reference byte for byte.
+std::string CompareToFullSweep(const RunSpec& spec) {
+  const RunArtifacts full = RunOne(spec, Mode::kFullSweep);
+  const RunArtifacts pruned = RunOne(spec, Mode::kPruned);
+  // The reference must really have swept: every session scored every slot.
+  if (full.stats.touched_session_slots !=
+      full.result.sessions * full.result.horizon) {
+    return spec.Label() + ": full-sweep run did not touch every session "
+           "every slot";
+  }
+  if (full.trace_ndjson != pruned.trace_ndjson) {
     return spec.Label() +
            ": trace diverges at " +
-           DescribeFirstDiff(naive.trace_ndjson, event.trace_ndjson);
+           DescribeFirstDiff(full.trace_ndjson, pruned.trace_ndjson);
   }
-  if (naive.audit_json != event.audit_json) {
-    return spec.Label() + ": audit reports differ: naive=" + naive.audit_json +
-           " event=" + event.audit_json;
+  if (full.audit_json != pruned.audit_json) {
+    return spec.Label() + ": audit reports differ: full-sweep=" +
+           full.audit_json + " pruned=" + pruned.audit_json;
   }
-  if (!(naive.result == event.result)) {
+  if (!(full.result == pruned.result)) {
     return spec.Label() + ": MultiRunResult differs (traces identical — "
            "engine-side aggregation bug)";
-  }
-  if (spec.hops > 0 && !event.stats.dense_fallback) {
-    return spec.Label() + ": adapter run should use the dense fallback";
-  }
-  if (spec.hops == 0 && event.stats.dense_fallback) {
-    return spec.Label() + ": direct system should step sparsely";
   }
   return "";
 }
@@ -291,7 +304,7 @@ TEST(EngineEquivalence, FaultFreeGridIsByteIdentical) {
         spec.bo = 64;  // B_O must be a power of two; k = 3 still splits it
         spec.d_o = 8;
         spec.horizon = 500;
-        return CompareEngines(spec);
+        return CompareToFullSweep(spec);
       },
       sweep);
   EXPECT_TRUE(r.ok()) << r.Summary();
@@ -316,16 +329,50 @@ TEST(EngineEquivalence, FaultFreeGridIsByteIdenticalSingleJob) {
         spec.seed = 7;
         spec.bo = 64;
         spec.horizon = 400;
-        return CompareEngines(spec);
+        return CompareToFullSweep(spec);
       },
       sweep);
   EXPECT_TRUE(r.ok()) << r.Summary();
 }
 
-// Faulted control plane: the adapter does not implement StepSparse, so
-// the event engine must fall back to exact dense materialization — the
-// lossy/denying/jittery lanes then see identical request streams and the
-// whole run (trace, audit, fault stats) stays byte-identical.
+// Heavy-tail sparse bursts (the bench_frontier scale-cell shape, scaled
+// down): sessions sit idle for long stretches between bursts, so the hot
+// sets shed and re-admit sessions constantly and boosted sessions go quiet
+// before their RESET — the pruning decisions the dense workloads above,
+// whose sessions send almost every slot, exercise least.
+TEST(EngineEquivalence, SparseBurstGridIsByteIdentical) {
+  const std::vector<std::int64_t> ks = {64, 256};
+  const std::int64_t count =
+      static_cast<std::int64_t>(kAlgos.size() * ks.size() * 2);
+  SweepOptions sweep;
+  sweep.jobs = 4;
+  const SweepResult r = ParallelSweep(
+      "engine-eq-bursts", count,
+      [&](const TaskContext& ctx) {
+        std::int64_t idx = ctx.key.index;
+        RunSpec spec;
+        spec.algo = kAlgos[static_cast<std::size_t>(idx) % kAlgos.size()];
+        idx /= static_cast<std::int64_t>(kAlgos.size());
+        spec.k = ks[static_cast<std::size_t>(idx) % ks.size()];
+        idx /= static_cast<std::int64_t>(ks.size());
+        spec.seed = static_cast<std::uint64_t>(idx + 1);
+        spec.bursts = true;
+        // Two bits/slot per session: nearly every burst overloads its
+        // share, so stages end (and RESET) several times per run. A power
+        // of two for these k.
+        spec.bo = 2 * spec.k;
+        spec.d_o = 16;
+        spec.horizon = 1200;
+        return CompareToFullSweep(spec);
+      },
+      sweep);
+  EXPECT_TRUE(r.ok()) << r.Summary();
+}
+
+// Faulted control plane: the adapter steps its control model and its real
+// channels sparsely while every lane still runs its retry state machine —
+// the lossy/denying/jittery lanes must see identical request streams and
+// the whole run (trace, audit, fault stats) stays byte-identical.
 TEST(EngineEquivalence, FaultedGridIsByteIdentical) {
   struct Lane {
     double loss, denial, partial;
@@ -358,13 +405,13 @@ TEST(EngineEquivalence, FaultedGridIsByteIdentical) {
         spec.plan.partial_grant_rate = lane.partial;
         spec.plan.max_jitter = lane.jitter;
         spec.plan.seed = 0xFA1157ULL + static_cast<std::uint64_t>(ctx.key.index);
-        return CompareEngines(spec);
+        return CompareToFullSweep(spec);
       },
       sweep);
   EXPECT_TRUE(r.ok()) << r.Summary();
 }
 
-// Negative control: an event engine whose wakeups fire one slot late must
+// Negative control: a pruned run whose wakeups fire one slot late must
 // NOT survive the byte-identity gate. One cell per algorithm family so
 // both wakeup kinds are covered — phase boundaries (phased, combined) and
 // REDUCE leases (continuous, combined-continuous).
@@ -377,9 +424,9 @@ TEST(EngineEquivalence, PerturbedWakeupsAreCaught) {
     spec.bo = 64;
     spec.horizon = 500;
     spec.seed = 2;
-    const RunArtifacts naive = RunOne(spec, Engine::kNaive);
-    const RunArtifacts bad = RunOne(spec, Engine::kEventPerturbed);
-    EXPECT_NE(naive.trace_ndjson, bad.trace_ndjson)
+    const RunArtifacts full = RunOne(spec, Mode::kFullSweep);
+    const RunArtifacts bad = RunOne(spec, Mode::kPrunedPerturbed);
+    EXPECT_NE(full.trace_ndjson, bad.trace_ndjson)
         << spec.Label()
         << ": off-by-one wakeups went undetected — the differential gate is "
            "blind on this configuration";
@@ -420,10 +467,10 @@ TEST(EngineEquivalenceSoak, FaultedGridStableAcrossJobs) {
           spec.plan.denial_rate = 0.05;
           spec.plan.max_jitter = 1;
           spec.plan.seed = spec.seed * 977;
-          const std::string verdict = CompareEngines(spec);
+          const std::string verdict = CompareToFullSweep(spec);
           if (!verdict.empty()) return verdict;
           // Tasks write disjoint indices; safe under any jobs value.
-          const RunArtifacts a = RunOne(spec, Engine::kEvent);
+          const RunArtifacts a = RunOne(spec, Mode::kPruned);
           digest[static_cast<std::size_t>(ctx.key.index)] =
               a.trace_ndjson + "\n---\n" + a.audit_json;
           return std::string();
@@ -439,10 +486,10 @@ TEST(EngineEquivalenceSoak, FaultedGridStableAcrossJobs) {
   }
 }
 
-// Session churn (ISSUE 10): dynamic arrivals through the shared
-// ChurnDriver must keep the byte-identity gate — every lifecycle
-// transition (admit, activate, depart, shed) lands at the same point in
-// both engines' traces. Grid: all four algorithm variants x all three
+// Session churn: dynamic arrivals through the shared ChurnDriver must
+// keep the byte-identity gate — every lifecycle transition (admit,
+// activate, depart, shed) lands at the same point in the pruned and
+// full-sweep traces. Grid: all four algorithm variants x all three
 // arrival processes, admission policies and book-ahead rotated through
 // the cells, at --jobs 4.
 TEST(EngineEquivalence, ChurnedGridIsByteIdentical) {
@@ -474,15 +521,15 @@ TEST(EngineEquivalence, ChurnedGridIsByteIdentical) {
         spec.bo = 64;
         spec.d_o = 8;
         spec.horizon = 400;
-        return CompareEngines(spec);
+        return CompareToFullSweep(spec);
       },
       sweep);
   EXPECT_TRUE(r.ok()) << r.Summary();
 }
 
 // Churn on top of a degraded control plane: lanes join and leave while
-// requests are lost, denied, and jittered. The adapter forces the event
-// engine's dense fallback; the whole run must still be byte-identical.
+// requests are lost, denied, and jittered; the whole run must still be
+// byte-identical.
 TEST(EngineEquivalence, ChurnedFaultedGridIsByteIdentical) {
   const std::int64_t count = static_cast<std::int64_t>(kAlgos.size() * 2);
   SweepOptions sweep;
@@ -508,7 +555,7 @@ TEST(EngineEquivalence, ChurnedFaultedGridIsByteIdentical) {
         spec.plan.denial_rate = 0.1;
         spec.plan.max_jitter = 1;
         spec.plan.seed = 7;
-        return CompareEngines(spec);
+        return CompareToFullSweep(spec);
       },
       sweep);
   EXPECT_TRUE(r.ok()) << r.Summary();
@@ -530,15 +577,15 @@ TEST(EngineEquivalence, ChurnedGridIsByteIdenticalSingleJob) {
         spec.bo = 64;
         spec.d_o = 8;
         spec.horizon = 400;
-        return CompareEngines(spec);
+        return CompareToFullSweep(spec);
       },
       sweep);
   EXPECT_TRUE(r.ok()) << r.Summary();
 }
 
-// The event engine's reason to exist: on a churn workload (sessions go
-// silent in epochs) it must touch strictly fewer session-slots than the
-// naive engine's k * (horizon + drain), and it must count every sparse
+// The pruning's reason to exist: on a churn workload (sessions go silent
+// in epochs) the engine must touch strictly fewer session-slots than a
+// full sweep's k * (horizon + drain), and it must count every sparse
 // arrival it was fed.
 TEST(EngineEquivalence, EventEngineActuallySparse) {
   RunSpec spec;
@@ -552,14 +599,13 @@ TEST(EngineEquivalence, EventEngineActuallySparse) {
       spec.kind, spec.k, spec.bo, spec.d_o, spec.horizon, spec.seed);
   const SparseMultiTrace sparse = SparseMultiTrace::FromDense(traces);
 
-  const RunArtifacts a = RunOne(spec, Engine::kEvent);
+  const RunArtifacts a = RunOne(spec, Mode::kPruned);
   EXPECT_EQ(a.stats.arrival_events,
             static_cast<std::int64_t>(sparse.arrivals.size()));
-  EXPECT_FALSE(a.stats.dense_fallback);
   const std::int64_t dense_total =
       spec.k * (spec.horizon + 8 * spec.d_o);
   EXPECT_LT(a.stats.touched_session_slots, dense_total)
-      << "event engine touched every session every slot — no sparsity win";
+      << "engine touched every session every slot — no sparsity win";
   EXPECT_GT(a.stats.touched_session_slots, 0);
 }
 

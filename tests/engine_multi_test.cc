@@ -15,12 +15,12 @@ class FixedSplitSystem final : public MultiSessionSystem {
     }
   }
 
-  void Step(Time now, std::span<const Bits> arrivals) override {
-    for (std::int64_t i = 0;
-         i < static_cast<std::int64_t>(arrivals.size()); ++i) {
-      channels_.Enqueue(i, now, arrivals[static_cast<std::size_t>(i)]);
+  void StepSparse(Time now,
+                  std::span<const SessionArrival> arrivals) override {
+    for (const SessionArrival& a : arrivals) {
+      channels_.Enqueue(a.session, now, a.bits);
     }
-    channels_.ServeSlot(now);
+    channels_.ServeActiveSlot(now);
   }
 
   const SessionChannels& channels() const override { return channels_; }
@@ -39,7 +39,7 @@ TEST(EngineMulti, ConservationAndAggregation) {
   FixedSplitSystem sys(2, 8);
   MultiEngineOptions opt;
   opt.drain_slots = 5;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   EXPECT_EQ(r.sessions, 2);
   EXPECT_EQ(r.total_arrivals, 12);
   EXPECT_EQ(r.total_delivered, 12);
@@ -53,7 +53,7 @@ TEST(EngineMulti, ConservationAndAggregation) {
 TEST(EngineMulti, PeakAllocationsTracked) {
   const std::vector<std::vector<Bits>> traces = {{1}, {1}};
   FixedSplitSystem sys(2, 8);
-  const MultiRunResult r = RunMultiSession(traces, sys);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys);
   EXPECT_EQ(r.peak_regular_allocation, Bandwidth::FromBitsPerSlot(8));
   EXPECT_EQ(r.peak_total_allocation, Bandwidth::FromBitsPerSlot(8));
   EXPECT_TRUE(r.peak_overflow_allocation.is_zero());
@@ -62,9 +62,9 @@ TEST(EngineMulti, PeakAllocationsTracked) {
 TEST(EngineMulti, RejectsMismatchedTraces) {
   FixedSplitSystem sys(2, 8);
   const std::vector<std::vector<Bits>> bad_len = {{1, 2}, {1}};
-  EXPECT_THROW(RunMultiSession(bad_len, sys), std::invalid_argument);
+  EXPECT_THROW(RunMultiSessionEvent(bad_len, sys), std::invalid_argument);
   const std::vector<std::vector<Bits>> bad_count = {{1}};
-  EXPECT_THROW(RunMultiSession(bad_count, sys), std::invalid_argument);
+  EXPECT_THROW(RunMultiSessionEvent(bad_count, sys), std::invalid_argument);
 }
 
 }  // namespace

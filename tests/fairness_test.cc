@@ -28,7 +28,7 @@ TEST(Fairness, BalancedLoadIsNearPerfectlyFair) {
       MultiSessionWorkload(MultiWorkloadKind::kBalanced, 4, 64, 8, 4000, 21);
   MultiEngineOptions opt;
   opt.drain_slots = 32;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   EXPECT_GT(ThroughputFairness(r), 0.95);
   EXPECT_GT(DelayFairness(r), 0.9);
 }
@@ -43,7 +43,7 @@ TEST(Fairness, SkewedLoadHasSkewedThroughputButFairDelay) {
       MultiSessionWorkload(MultiWorkloadKind::kSkewed, 4, 64, 8, 4000, 22);
   MultiEngineOptions opt;
   opt.drain_slots = 32;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   // Demand itself is Zipf, so throughput fairness is low by construction…
   EXPECT_LT(ThroughputFairness(r), 0.9);
   // …but the algorithm keeps DELAY fair: every session gets its bound.

@@ -146,11 +146,11 @@ TEST(RobustMultiSessionAdapter, TrivialPlanZeroLatencyMatchesBare) {
   opt.drain_slots = 8 * kDo;
 
   auto bare = MakeSystem("phased");
-  const MultiRunResult rb = RunMultiSession(traces, *bare, opt);
+  const MultiRunResult rb = RunMultiSessionEvent(traces, *bare, opt);
 
   RobustMultiSessionAdapter wrapped(MakeSystem("phased"), NetworkPath(),
                                     FaultPlan{}, Opts(4 * kBo));
-  const MultiRunResult rw = RunMultiSession(traces, wrapped, opt);
+  const MultiRunResult rw = RunMultiSessionEvent(traces, wrapped, opt);
 
   // Zero latency + a trivial plan: every per-session request commits in
   // the same slot it was issued, so the served schedule matches the bare
@@ -178,7 +178,7 @@ TEST(RobustMultiSessionAdapter, MergedStatsAreExactSumOfLanes) {
                                     Opts(5 * kBo));
   MultiEngineOptions opt;
   opt.drain_slots = 8 * kDo + 64 * 3;
-  const MultiRunResult r = RunMultiSession(traces, adapter, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, adapter, opt);
   EXPECT_EQ(r.total_arrivals, r.total_delivered + r.final_queue);
 
   const std::vector<FaultStats> lanes = adapter.per_session_fault_stats();
@@ -227,7 +227,7 @@ TEST(RobustMultiSessionAdapter, DegradationSweepHoldsInvariants) {
           RobustMultiSessionAdapter adapter(
               MakeSystem(algo), NetworkPath::Uniform(3, 1, 1.0), plan,
               Opts(DeclaredTotal(algo)));
-          MultiRunResult r = RunMultiSession(traces, adapter, opt);
+          MultiRunResult r = RunMultiSessionEvent(traces, adapter, opt);
           r.faults = adapter.fault_stats();
           return r;
         };

@@ -92,8 +92,8 @@ TEST(Integration, MultiSessionOfflineComparison) {
   ContinuousMulti continuous(p);
   MultiEngineOptions opt;
   opt.drain_slots = 4 * d_o;
-  const MultiRunResult rp = RunMultiSession(traces, phased, opt);
-  const MultiRunResult rc = RunMultiSession(traces, continuous, opt);
+  const MultiRunResult rp = RunMultiSessionEvent(traces, phased, opt);
+  const MultiRunResult rc = RunMultiSessionEvent(traces, continuous, opt);
 
   const MultiOfflineSchedule offline = GreedyMultiSchedule(traces, bo, d_o);
   ASSERT_TRUE(offline.feasible);
@@ -127,7 +127,7 @@ TEST(Integration, CombinedVersusPlainMulti) {
   CombinedOnline combined(cp);
   MultiEngineOptions opt;
   opt.drain_slots = 64;
-  const MultiRunResult r = RunMultiSession(traces, combined, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, combined, opt);
   EXPECT_LE(r.delay.max_delay(), 3 * cp.offline_delay);
   EXPECT_EQ(r.total_arrivals, r.total_delivered);
   EXPECT_GE(r.global_stages, 0);

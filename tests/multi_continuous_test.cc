@@ -60,7 +60,7 @@ TEST(ContinuousMulti, RotatingHotspotBoundsHold) {
       MultiWorkloadKind::kRotatingHotspot, 4, 64, 8, 6000, 31);
   MultiEngineOptions opt;
   opt.drain_slots = 32;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   EXPECT_LE(r.delay.max_delay(), 16);  // D_A = 2 D_O (Lemma 15)
   EXPECT_EQ(r.final_queue, 0);
   // Lemma 16: overflow channel <= 3 B_O; regular <= 2 B_O (+transient).
@@ -75,7 +75,7 @@ TEST(ContinuousMulti, ChurnWorkloadConservesBits) {
       MultiSessionWorkload(MultiWorkloadKind::kChurn, 4, 64, 8, 4000, 32);
   MultiEngineOptions opt;
   opt.drain_slots = 32;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   EXPECT_EQ(r.total_arrivals, r.total_delivered);
   EXPECT_LE(r.delay.max_delay(), 16);
 }
@@ -86,7 +86,7 @@ TEST(ContinuousMulti, FifoDisciplineKeepsDelayBound) {
       MultiWorkloadKind::kRotatingHotspot, 4, 64, 8, 4000, 33);
   MultiEngineOptions opt;
   opt.drain_slots = 32;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   EXPECT_LE(r.delay.max_delay(), 16);
   EXPECT_EQ(r.final_queue, 0);
 }

@@ -49,7 +49,7 @@ TEST(PhasedMulti, BalancedLoadNeedsNoStageEnd) {
                                            64, 8, 3000, 21);
   MultiEngineOptions opt;
   opt.drain_slots = 32;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   // A static offline split serves balanced load, so the online should not
   // exceed the 2 B_O regular budget: zero completed stages.
   EXPECT_EQ(r.stages, 0);
@@ -64,7 +64,7 @@ TEST(PhasedMulti, RotatingHotspotForcesStagesButBoundsHold) {
       MultiWorkloadKind::kRotatingHotspot, 4, 64, 8, 6000, 22);
   MultiEngineOptions opt;
   opt.drain_slots = 32;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   EXPECT_LE(r.delay.max_delay(), 16);   // D_A = 2 D_O (Lemma 11)
   EXPECT_EQ(r.final_queue, 0);
   // Resource bounds: regular <= 2 B_O (+ the k increments of the boundary
@@ -93,7 +93,7 @@ TEST(PhasedMulti, OverflowDrainsWithinOnePhase) {
   }
   MultiEngineOptions opt;
   opt.drain_slots = 32;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   EXPECT_EQ(r.final_queue, 0);
   EXPECT_LE(r.delay.max_delay(), 16);
 }
@@ -105,7 +105,7 @@ TEST(PhasedMulti, FifoDisciplineKeepsDelayBound) {
       MultiWorkloadKind::kRotatingHotspot, 4, 64, 8, 4000, 23);
   MultiEngineOptions opt;
   opt.drain_slots = 32;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   // The Remark after Theorem 14: FIFO never worsens the worst-case delay.
   EXPECT_LE(r.delay.max_delay(), 16);
   EXPECT_EQ(r.final_queue, 0);

@@ -48,7 +48,7 @@ TEST_P(MultiProperty, GuaranteesHold) {
                                            17 + static_cast<std::uint64_t>(k));
   MultiEngineOptions opt;
   opt.drain_slots = 4 * p.offline_delay;
-  const MultiRunResult r = RunMultiSession(traces, *sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, *sys, opt);
 
   // Conservation.
   EXPECT_EQ(r.total_arrivals, r.total_delivered + r.final_queue);
@@ -141,7 +141,7 @@ TEST(MultiPropertyWide, GuaranteesHoldAcrossDerivedStreams) {
                                  p.offline_delay, 3000, ctx.seed);
         MultiEngineOptions opt;
         opt.drain_slots = 4 * p.offline_delay;
-        const MultiRunResult r = RunMultiSession(traces, *sys, opt);
+        const MultiRunResult r = RunMultiSessionEvent(traces, *sys, opt);
 
         if (r.total_arrivals != r.total_delivered + r.final_queue ||
             r.final_queue != 0) {

@@ -56,8 +56,8 @@ TEST(PublicApi, MultiSessionSurfaceIsComplete) {
                                            48, 8, 500, 9);
   MultiEngineOptions opt;
   opt.drain_slots = 32;
-  EXPECT_EQ(RunMultiSession(traces, phased, opt).final_queue, 0);
-  EXPECT_EQ(RunMultiSession(traces, continuous, opt).final_queue, 0);
+  EXPECT_EQ(RunMultiSessionEvent(traces, phased, opt).final_queue, 0);
+  EXPECT_EQ(RunMultiSessionEvent(traces, continuous, opt).final_queue, 0);
 }
 
 }  // namespace

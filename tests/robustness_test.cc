@@ -67,10 +67,10 @@ TEST(Robustness, MultiSessionSurvivesUnshapedInput) {
     MultiRunResult r;
     if (continuous) {
       ContinuousMulti sys(p);
-      r = RunMultiSession(traces, sys, opt);
+      r = RunMultiSessionEvent(traces, sys, opt);
     } else {
       PhasedMulti sys(p);
-      r = RunMultiSession(traces, sys, opt);
+      r = RunMultiSessionEvent(traces, sys, opt);
     }
     EXPECT_EQ(r.total_arrivals, r.total_delivered + r.final_queue);
     EXPECT_EQ(r.final_queue, 0);
@@ -93,7 +93,7 @@ TEST(Robustness, CombinedSurvivesUnshapedInput) {
   CombinedOnline sys(p);
   MultiEngineOptions opt;
   opt.drain_slots = 8000;
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
   EXPECT_EQ(r.total_arrivals, r.total_delivered + r.final_queue);
   EXPECT_EQ(r.final_queue, 0);
 }

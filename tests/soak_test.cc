@@ -89,7 +89,7 @@ TEST(Soak, ContinuousMultiQuarterMillionSlots) {
             ctx.seed);
         MultiEngineOptions opt;
         opt.drain_slots = 64;
-        const MultiRunResult r = RunMultiSession(traces, sys, opt);
+        const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
         std::string err =
             ExpectEq("conservation", r.total_arrivals, r.total_delivered);
         if (err.empty()) err = ExpectLe<Time>("delay", r.delay.max_delay(), 16);
@@ -116,7 +116,7 @@ TEST(Soak, CombinedQuarterMillionSlots) {
                                                  128, 8, kLong / 2, ctx.seed);
         MultiEngineOptions opt;
         opt.drain_slots = 128;
-        const MultiRunResult r = RunMultiSession(traces, sys, opt);
+        const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
         std::string err =
             ExpectEq("conservation", r.total_arrivals, r.total_delivered);
         if (err.empty()) {

@@ -133,7 +133,7 @@ TEST(TraceSummary, PhasedMultiEmitsStageAndShuntEvents) {
   opt.tracer = Tracer(&sink, kAllEvents, {"multi", 0});
   const auto traces = MultiSessionWorkload(MultiWorkloadKind::kRotatingHotspot,
                                            4, 64, 8, 3000, 11);
-  const MultiRunResult r = RunMultiSession(traces, sys, opt);
+  const MultiRunResult r = RunMultiSessionEvent(traces, sys, opt);
 
   std::int64_t certified = 0;
   std::int64_t alloc_changes = 0;

@@ -60,10 +60,10 @@ TEST(WeightedMulti, GuaranteesHoldOnSkewedLoad) {
     MultiRunResult r;
     if (continuous) {
       ContinuousMulti sys(WeightedParams());
-      r = RunMultiSession(traces, sys, opt);
+      r = RunMultiSessionEvent(traces, sys, opt);
     } else {
       PhasedMulti sys(WeightedParams());
-      r = RunMultiSession(traces, sys, opt);
+      r = RunMultiSessionEvent(traces, sys, opt);
     }
     EXPECT_LE(r.delay.max_delay(), 16);
     EXPECT_EQ(r.final_queue, 0);
@@ -80,12 +80,12 @@ TEST(WeightedMulti, MatchedWeightsNeedFewerChangesThanUniform) {
   opt.drain_slots = 32;
 
   PhasedMulti weighted(WeightedParams());
-  const MultiRunResult rw = RunMultiSession(traces, weighted, opt);
+  const MultiRunResult rw = RunMultiSessionEvent(traces, weighted, opt);
 
   MultiSessionParams uniform = WeightedParams();
   uniform.weights.clear();
   PhasedMulti plain(uniform);
-  const MultiRunResult ru = RunMultiSession(traces, plain, opt);
+  const MultiRunResult ru = RunMultiSessionEvent(traces, plain, opt);
 
   EXPECT_LE(rw.local_changes, ru.local_changes);
 }

@@ -66,6 +66,31 @@ TEST_P(MultiWorkloadTest, EverySessionSendsSomething) {
   }
 }
 
+// FNV-1a over the little-endian bytes of every value, session-major.
+std::uint64_t TraceDigest(const std::vector<std::vector<Bits>>& traces) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::vector<Bits>& trace : traces) {
+    for (const Bits bits : trace) {
+      auto v = static_cast<std::uint64_t>(bits);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= v & 0xFFu;
+        h *= 1099511628211ULL;
+        v >>= 8;
+      }
+    }
+  }
+  return h;
+}
+
+// Pins the skewed generator's output bit for bit: the harmonic normalizer
+// is hoisted out of the per-slot loop, and the summation order it keeps
+// must leave every Poisson mean, and so every trace, unchanged.
+TEST(WorkloadSuite, SkewedTracesArePinned) {
+  const auto traces =
+      MultiSessionWorkload(MultiWorkloadKind::kSkewed, 64, 1024, kDo, 2000, 5);
+  EXPECT_EQ(TraceDigest(traces), 39062787238658888ULL);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, MultiWorkloadTest,
     ::testing::Values(MultiWorkloadKind::kBalanced,

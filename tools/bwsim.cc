@@ -13,11 +13,6 @@
 //   bwsim multi    --algo phased|continuous|combined --k 4 --bo 64 --do 8
 //                  [--kind rotating-hotspot | --trace file.csv]
 //                  [--horizon 4000] [--seed 1]
-//                  [--engine naive|event] — "event" runs the event-driven
-//                  engine (sparse arrivals + timer-wheel wakeups);
-//                  byte-identical output, differentially tested
-//                  ("event-perturbed" arms the off-by-one negative
-//                  control and MUST diverge — test use only)
 //                  unreliable control plane: [--hops 4] [--loss 0.1]
 //                  [--denial 0.1] [--partial 0.0] [--jitter 2]
 //                  [--fault-seed 0] — wraps the system in a
@@ -37,8 +32,8 @@
 //                  [--churn-rate 0.25] (mean session arrivals per slot)
 //                  [--churn-hold 0]    (mean session lifetime, 0 = 4 D_O)
 //                  admission decisions, lifecycle transitions, and
-//                  overload shedding run in the ChurnDriver shared by both
-//                  engines, so churned runs keep the byte-identity gate
+//                  overload shedding run in the ChurnDriver, inside the
+//                  byte-identity gate
 //   bwsim offline  (--workload mixed | --trace file) --bo 64 --do 8
 //                  [--inv-uo 2] [--w 16] [--horizon 4000] [--seed 1]
 //   bwsim tune     (--workload mixed | --trace file) --ba 64 --da 16
@@ -54,7 +49,7 @@
 //                          [--fault-jitter 0]
 //                  multi:  [--kinds balanced,churn,...] [--ks 2,4,8]
 //                          [--algo phased|continuous] [--bo-per-session 16]
-//                          [--do 8] [--engine naive|event]
+//                          [--do 8]
 //                          and the same --fault-* flags as single
 //                          (per-session fault lanes derived from one seed)
 //                  tracing: [--trace events.ndjson] [--trace-events all]
@@ -145,6 +140,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "analysis/json.h"
 #include "analysis/table.h"
@@ -347,12 +343,19 @@ CheckpointCli ParseCheckpointFlags(Flags& flags, const std::string& stem) {
 // sink's event counter continues from the prefix and later checkpoints
 // record correct journal positions — then feeds the auditor the
 // out-of-band kRestore handshake it checks against the journaled
-// kCheckpoint. With no journal file the run resumes without replay.
-void ReplayJournalPrefix(const CheckpointCli& cli, const std::string& trace_out,
-                         const TraceContext& ctx, BufferTraceSink& sink,
-                         Auditor* auditor) {
+// kCheckpoint. With no journal file the run resumes without replay. A
+// checkpoint of another kind (or of a removed engine) is refused, naming
+// the file.
+void ReplayJournalPrefix(const CheckpointCli& cli, std::string_view kind,
+                         const std::string& trace_out, const TraceContext& ctx,
+                         BufferTraceSink& sink, Auditor* auditor) {
   const CheckpointMeta meta =
       ReadCheckpointMeta(cli.resume_blob, cli.resume_path);
+  if (meta.kind != kind) {
+    throw CheckpointError("checkpoint " + cli.resume_path + ": kind is '" +
+                          meta.kind + "', this command resumes '" +
+                          std::string(kind) + "' checkpoints");
+  }
   if (!trace_out.empty() && std::filesystem::exists(trace_out)) {
     const std::vector<TraceRecord> records = ReadTraceFile(trace_out);
     const auto keep = static_cast<std::size_t>(meta.trace_events);
@@ -550,7 +553,8 @@ int RunSingle(Flags& flags) {
   }
   opt.checkpoint = ckpt_cli.options;
   if (!ckpt_cli.resume_blob.empty()) {
-    ReplayJournalPrefix(ckpt_cli, trace_out, {"single", 0}, sink,
+    ReplayJournalPrefix(ckpt_cli, kSingleCheckpointKind, trace_out,
+                        {"single", 0}, sink,
                         auditor.has_value() ? &*auditor : nullptr);
     opt.checkpoint.resume = &ckpt_cli.resume_blob;
   }
@@ -655,7 +659,6 @@ int RunMulti(Flags& flags) {
   const bool print_metrics = flags.Bool("metrics", false);
   const bool print_profile = flags.Bool("profile", false);
   const bool audit = flags.Bool("audit", false);
-  const std::string engine = flags.Str("engine", "naive");
   const std::string arrivals = flags.Str("arrivals", "none");
   const std::string admission = flags.Str("admission", "greedy");
   const double admission_threshold = flags.Double("admission-threshold", 0.85);
@@ -667,9 +670,6 @@ int RunMulti(Flags& flags) {
   CheckpointCli ckpt_cli = ParseCheckpointFlags(flags, "multi");
   flags.CheckUnused();
   CheckFaultPlanFlags(plan, /*batch=*/false);
-  if (engine != "naive" && engine != "event" && engine != "event-perturbed") {
-    throw tools::UsageError("flag --engine: naive, event, or event-perturbed");
-  }
   if (arrivals != "none" && arrivals != "poisson" && arrivals != "mmpp" &&
       arrivals != "adversarial") {
     throw tools::UsageError(
@@ -841,7 +841,8 @@ int RunMulti(Flags& flags) {
   if (print_profile) opt.profile = &profile;
   opt.checkpoint = ckpt_cli.options;
   if (!ckpt_cli.resume_blob.empty()) {
-    ReplayJournalPrefix(ckpt_cli, trace_out, {"multi", 0}, sink,
+    ReplayJournalPrefix(ckpt_cli, kMultiCheckpointKind, trace_out,
+                        {"multi", 0}, sink,
                         auditor.has_value() ? &*auditor : nullptr);
     opt.checkpoint.resume = &ckpt_cli.resume_blob;
   }
@@ -851,7 +852,6 @@ int RunMulti(Flags& flags) {
     hub.emplace();
     hub->SetInfo("command", "multi");
     hub->SetInfo("algo", algo);
-    hub->SetInfo("engine", engine);
     // The engine forwards the shard to the system; the robust adapter (if
     // any) is that system and fans it out to its fault lanes + control
     // model.
@@ -867,13 +867,7 @@ int RunMulti(Flags& flags) {
   };
   MultiRunResult r;
   try {
-    if (engine == "naive") {
-      r = RunMultiSession(traces, *sys, opt);
-    } else {
-      const SparseMultiTrace sparse = SparseMultiTrace::FromDense(traces);
-      if (engine == "event-perturbed") sys->PerturbEventWakeupsForTest();
-      r = RunMultiSessionEvent(sparse, *sys, opt);
-    }
+    r = RunMultiSessionEvent(traces, *sys, opt);
   } catch (const CrashInjected& e) {
     if (!trace_out.empty()) WriteTraceFile(trace_out, sink.ToNdjson());
     std::fprintf(stderr, "bwsim: %s\n", e.what());
@@ -1124,10 +1118,6 @@ int RunBatch(Flags& flags) {
     spec.multi_algo = flags.Str("algo", "phased");
     spec.per_session_bo = flags.Int("bo-per-session", 16);
     spec.d_o = flags.Int("do", 8);
-    spec.engine = flags.Str("engine", "naive");
-    if (spec.engine != "naive" && spec.engine != "event") {
-      throw tools::UsageError("flag --engine: naive or event");
-    }
   } else {
     throw std::invalid_argument("unknown --suite: " + suite_kind);
   }

@@ -19,12 +19,12 @@
 #                             # bench_faults_multi --jobs invariance +
 #                             # schema checks (the adapter shards over the
 #                             # batch runner, so races surface here)
-#   tools/check.sh engine-eq  # event-engine differential subset under
-#                             # tsan: the engine-equivalence property
-#                             # grids + the cross-jobs soak (byte-identity
-#                             # over faulted grids at --jobs 1/2/4), the
-#                             # timer-wheel unit tests, and the CLI-level
-#                             # compare_engines gates
+#   tools/check.sh engine-eq  # engine differential subset under tsan:
+#                             # the pruned-vs-full-sweep property grids +
+#                             # the cross-jobs soak (byte-identity over
+#                             # faulted grids at --jobs 1/2/4), the engine
+#                             # and timer-wheel unit tests, and the
+#                             # CLI-level pinned-trace gates
 #   tools/check.sh runner     # batch-scheduler subset under tsan: the
 #                             # work-stealing pool tests (skewed-cost
 #                             # determinism, re-entry fail-fast, steal
@@ -33,11 +33,12 @@
 #                             # Chase-Lev claim path races surface here
 #   tools/check.sh crash      # crash-tolerance subset under tsan: the
 #                             # checkpoint/serializer hardening tests, the
-#                             # crash->restore byte-identity grids (which
-#                             # run sharded at --jobs 4, so the supervised
-#                             # restart path races surface here), and the
-#                             # bwsim checkpoint CLI contract incl. the
-#                             # crash+resume round trips
+#                             # crash->restore grids against the full-sweep
+#                             # reference (sharded at --jobs 4, so the
+#                             # supervised restart path races surface
+#                             # here), and the bwsim checkpoint CLI
+#                             # contract incl. the crash+resume round trip
+#                             # and the stale-checkpoint refusals
 #   tools/check.sh churn      # session-churn subset under tsan: the
 #                             # arrival/admission/lifecycle unit tests,
 #                             # the churned engine-equivalence and
@@ -79,7 +80,7 @@ case "$mode" in
     ;;
   engine-eq)
     sanitize="thread"; dir="${2:-$repo/build-tsan}"
-    test_filter=(-R 'EngineEquivalence|SparseMultiTrace|TimerWheel|bwsim_engine')
+    test_filter=(-R 'EngineEquivalence|EngineMulti|SparseMultiTrace|TimerWheel|bwsim_engine|bwsim_pinned')
     ;;
   runner)
     sanitize="thread"; dir="${2:-$repo/build-tsan}"

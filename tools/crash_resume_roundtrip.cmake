@@ -15,9 +15,6 @@ file(MAKE_DIRECTORY "${OUT_DIR}/ckpt_straight" "${OUT_DIR}/ckpt_crash")
 
 set(run_args multi --algo phased --k 4 --bo 64 --do 8 --horizon 600
     --seed 7 --audit true --json true --checkpoint-every 64)
-if(DEFINED ENGINE)
-  list(APPEND run_args --engine ${ENGINE})
-endif()
 
 # 1. Uninterrupted reference run.
 execute_process(
@@ -87,7 +84,6 @@ execute_process(
 if(NOT exit_code EQUAL 0)
   message(FATAL_ERROR "checkpoint-dump failed (${exit_code})\n${err}")
 endif()
-# The naive engine publishes kind "multi", the event engine "multi-event".
-if(NOT out MATCHES "\"kind\":\"multi")
+if(NOT out MATCHES "\"kind\":\"multi-event\"")
   message(FATAL_ERROR "checkpoint-dump did not report a multi kind:\n${out}")
 endif()
