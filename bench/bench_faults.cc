@@ -78,7 +78,8 @@ SingleRunResult RunOne(const std::vector<Bits>& trace, std::int64_t hops,
                                  NetworkPath::Uniform(hops, 1, 1.0), plan,
                                  ropts);
   SingleEngineOptions opt;
-  opt.drain_slots = 4 * kDa + 64 * hops;
+  opt.drain_slots =
+      ropts.Slack(hops, plan.max_jitter, 4 * kDa).degraded_delay_slack;
   SingleRunResult r = RunSingleSession(trace, adapter, opt);
   r.faults = adapter.fault_stats();
   if (stats != nullptr) *stats = r.faults;

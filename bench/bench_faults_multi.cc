@@ -98,13 +98,14 @@ struct CellOut {
 
 MultiRunResult RunOne(const std::vector<std::vector<Bits>>& traces,
                       const std::string& algo, const FaultPlan& plan) {
-  RobustMultiOptions mopts;
+  RobustOptions mopts;
   mopts.fallback_bandwidth = DeclaredTotal(algo);
   RobustMultiSessionAdapter adapter(MakeSystem(algo),
                                     NetworkPath::Uniform(kHops, 1, 1.0), plan,
                                     mopts);
   MultiEngineOptions opt;
-  opt.drain_slots = 8 * kDo + 64 * kHops;
+  opt.drain_slots =
+      mopts.Slack(kHops, plan.max_jitter, 8 * kDo).degraded_delay_slack;
   MultiRunResult r = RunMultiSessionEvent(traces, adapter, opt);
   r.faults = adapter.fault_stats();
   r.per_session_faults = adapter.per_session_fault_stats();

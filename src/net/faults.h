@@ -12,13 +12,15 @@
 //     the message is lost, denied, partially granted, or committed after a
 //     jittered delay. The endpoint observes only ACKs, NACKs and the
 //     committed allocation; losses are invisible until a timeout.
-//   * RobustSignalingAdapter wraps any SingleSessionAllocator behind such
-//     a channel with stop-and-wait request handling, timeout detection,
-//     capped exponential-backoff retry, and graceful degradation: the
-//     session keeps serving at the last committed allocation, and after K
-//     consecutive denials of an increase with a backlog present it falls
-//     back to a RESET-style full-rate drain request so the queue stays
-//     bounded.
+//   * SignalLane runs one session's stop-and-wait retry state machine over
+//     such a channel: timeout detection, capped exponential-backoff retry,
+//     and graceful degradation — the session keeps serving at the last
+//     committed allocation, and after K consecutive denials of an increase
+//     with a backlog present the lane falls back to a RESET-style full-rate
+//     drain request so the queue stays bounded.
+//   * RobustSignalingAdapter wraps any SingleSessionAllocator behind one
+//     lane; RobustMultiSessionAdapter (net/multi_faults.h) runs one lane per
+//     session. Both share RobustOptions.
 //
 // All randomness derives from the plan seed via the same SplitMix64
 // machinery the batch runner uses, so a fault replay is bitwise identical
@@ -270,150 +272,175 @@ class FaultySignalingChannel {
   std::int64_t session_ = -1;
 };
 
-// Retry/degradation policy of the robust adapter.
+// Retry policy of both robust adapters. Only the backoff cap and the
+// fallback drain rate are settable; SignalLane fixes the rest.
 struct RobustOptions {
-  Time timeout_margin = 2;    // extra slots past WorstCaseResponse
-  Time initial_backoff = 1;   // slots before the first re-attempt
-  Time max_backoff = 64;      // exponential backoff cap
-  std::int64_t fallback_after_denials = 3;  // K consecutive denials
-  Bits fallback_bandwidth = 0;  // RESET-style drain rate, typically B_A
+  Time max_backoff = 64;  // exponential backoff cap
+  // RESET-style drain rate: B_A for one session, the algorithm's declared
+  // total for each multi-session lane.
+  Bits fallback_bandwidth = 0;
 
-  void Validate() const {
-    BW_REQUIRE(timeout_margin >= 1, "RobustOptions: timeout_margin >= 1");
-    BW_REQUIRE(initial_backoff >= 1, "RobustOptions: initial_backoff >= 1");
-    BW_REQUIRE(max_backoff >= initial_backoff,
-               "RobustOptions: max_backoff >= initial_backoff");
-    BW_REQUIRE(fallback_after_denials >= 1,
-               "RobustOptions: fallback_after_denials >= 1");
-    BW_REQUIRE(fallback_bandwidth > 0,
-               "RobustOptions: fallback_bandwidth must be > 0");
+  void Validate() const;
+
+  // Audit allowances for a run behind `hops` hops whose commits jitter by
+  // up to `jitter` slots; `drain` is the fault-free drain horizon.
+  struct AuditSlack {
+    Time delay_slack;           // commits land up to one round trip late
+    Time degraded_delay_slack;  // `drain` plus one capped backoff per hop
+    Time fault_recovery_bound;  // one capped backoff plus the round trip
+  };
+  AuditSlack Slack(std::int64_t hops, Time jitter, Time drain) const {
+    return {2 * (hops + jitter) + 2, drain + max_backoff * hops,
+            max_backoff + 2 * (hops + jitter) + 8};
   }
 };
 
-// Wraps any single-session allocator behind a FaultySignalingChannel.
-// Stop-and-wait: at most one request is outstanding; while it is pending
-// (or the control plane is down) the session keeps serving at the last
-// committed allocation. A request unresolved past the channel's worst-case
-// response is declared lost and retried with capped exponential backoff.
-// After `fallback_after_denials` consecutive admission denials with a
-// backlog present, the adapter abandons the inner allocator's incremental
-// ask and requests a full-rate (fallback_bandwidth) drain — the same move
-// as the Fig. 3 RESET — until the queue empties, which keeps the backlog
-// bounded whenever the fault rates leave a nonzero success probability.
-class RobustSignalingAdapter final : public SingleSessionAllocator {
- public:
-  RobustSignalingAdapter(std::unique_ptr<SingleSessionAllocator> inner,
-                         const NetworkPath& path, const FaultPlan& plan,
-                         const RobustOptions& options)
-      : inner_(std::move(inner)),
-        channel_(path, plan),
-        opts_(options),
-        backoff_(options.initial_backoff) {
-    BW_REQUIRE(inner_ != nullptr, "RobustSignalingAdapter: null inner");
-    plan.ValidateRecoverable();
-    opts_.Validate();
-  }
+// What a lane's owner hands each step: the policy, and where events go.
+// Passed in rather than stored so a per-session lane stays small.
+struct SignalContext {
+  const RobustOptions& options;
+  const Tracer& tracer;
+  telemetry::RuntimeShard* telemetry;  // nullable; never affects decisions
+  std::int64_t session;                // tag on trace events (-1 = none)
+};
 
-  Bandwidth OnSlot(Time now, Bits arrivals, Bits queue) override {
-    // The inner allocator always advances, even while its decisions cannot
-    // be signalled — its state machine must track the actual traffic.
-    const Bandwidth inner_want = inner_->OnSlot(now, arrivals, queue);
-    Bandwidth effective = channel_.Effective(now);
+// One slot of a lane: the allocation in force, and whether the control
+// plane pushed back this slot (a partial grant, a NACK or a timeout).
+struct SignalStep {
+  Bandwidth committed;
+  bool setback = false;
+};
+
+// The stop-and-wait signalling state machine both robust adapters run, one
+// per session. At most one request is outstanding; until it resolves the
+// session keeps the last committed allocation. A request unresolved past
+// the channel's worst-case response was lost: the lane times it out and
+// retries with capped exponential backoff, as it does after a NACK. After
+// kFallbackAfterDenials consecutive denials with a backlog present it
+// abandons the caller's ask and requests the fallback drain rate — the
+// Fig. 3 RESET move — until the caller reports the queue empty, which
+// keeps the backlog bounded whenever a request can still succeed.
+class SignalLane {
+ public:
+  static constexpr Time kTimeoutMargin = 2;   // slots past worst-case response
+  static constexpr Time kInitialBackoff = 1;  // slots before the first retry
+  static constexpr std::int64_t kFallbackAfterDenials = 3;  // K
+
+  explicit SignalLane(FaultySignalingChannel channel)
+      : channel_(std::move(channel)) {}
+
+  // Slot `now`, before service: absorb ACKs, NACKs and timeouts, enter
+  // fallback if due, and ask for `want` (or the fallback rate) once no
+  // request is outstanding and the backoff has elapsed. `queue` is the
+  // session's real backlog.
+  SignalStep Step(Time now, Bandwidth want, Bits queue,
+                  const SignalContext& ctx) {
+    telemetry::RuntimeShard* const shard = ctx.telemetry;
+    SignalStep out{channel_.Effective(now)};
 
     const std::int64_t acks = channel_.AcksArrived(now);
     if (acks > seen_acks_) {
       // Our request committed (possibly partially): progress, so reset the
       // backoff and the denial streak.
-      if (telemetry_ != nullptr) {
-        telemetry_->Add(telemetry::Counter::kSignalAcks, acks - seen_acks_);
+      if (shard != nullptr) {
+        shard->Add(telemetry::Counter::kSignalAcks, acks - seen_acks_);
         if (request_slot_ >= 0) {
-          telemetry_->Record(telemetry::Histo::kSignalRttSlots,
-                             now - request_slot_);
+          shard->Record(telemetry::Histo::kSignalRttSlots,
+                        now - request_slot_);
         }
-        if (backoff_ > opts_.initial_backoff) {
+        if (backoff_ > kInitialBackoff) {
           // A backoff episode just ended: its length is the value reached.
-          telemetry_->Record(telemetry::Histo::kBackoffEpisodeSlots,
-                             backoff_);
+          shard->Record(telemetry::Histo::kBackoffEpisodeSlots, backoff_);
         }
       }
+      request_slot_ = -1;
+      // A partial grant commits below the ask: a setback all the same.
+      out.setback = have_last_want_ && out.committed != last_want_;
       seen_acks_ = acks;
       outstanding_ = false;
-      backoff_ = opts_.initial_backoff;
+      backoff_ = kInitialBackoff;
       consecutive_denials_ = 0;
       next_attempt_at_ = now;
     }
     const std::int64_t nacks = channel_.DenialsArrived(now);
     if (nacks > seen_nacks_) {
-      if (telemetry_ != nullptr) {
-        telemetry_->Add(telemetry::Counter::kSignalNacks,
-                        nacks - seen_nacks_);
+      if (shard != nullptr) {
+        shard->Add(telemetry::Counter::kSignalNacks, nacks - seen_nacks_);
       }
       consecutive_denials_ += nacks - seen_nacks_;
       seen_nacks_ = nacks;
-      outstanding_ = false;
-      next_attempt_at_ = now + backoff_;
-      backoff_ = std::min(backoff_ * 2, opts_.max_backoff);
+      BackOff(now, ctx.options);
+      out.setback = true;
     }
     if (outstanding_ && now >= deadline_) {
       ++timeouts_;  // past worst-case response: the message was lost
-      tracer_.Emit(TraceEventType::kSignalTimeout, now, session_, deadline_);
-      if (telemetry_ != nullptr) {
-        telemetry_->Add(telemetry::Counter::kSignalTimeouts);
-      }
-      outstanding_ = false;
-      next_attempt_at_ = now + backoff_;
-      backoff_ = std::min(backoff_ * 2, opts_.max_backoff);
+      ctx.tracer.Emit(TraceEventType::kSignalTimeout, now, ctx.session,
+                      deadline_);
+      if (shard != nullptr) shard->Add(telemetry::Counter::kSignalTimeouts);
+      BackOff(now, ctx.options);
+      out.setback = true;
     }
 
     if (!fallback_ && queue > 0 &&
-        consecutive_denials_ >= opts_.fallback_after_denials) {
+        consecutive_denials_ >= kFallbackAfterDenials) {
       fallback_ = true;
       ++fallbacks_;
-      tracer_.Emit(TraceEventType::kSignalFallback, now, session_,
-                   opts_.fallback_bandwidth);
-      if (telemetry_ != nullptr) {
-        telemetry_->Add(telemetry::Counter::kSignalFallbacks);
-      }
+      ctx.tracer.Emit(TraceEventType::kSignalFallback, now, ctx.session,
+                      ctx.options.fallback_bandwidth);
+      if (shard != nullptr) shard->Add(telemetry::Counter::kSignalFallbacks);
+    }
+    if (fallback_) {
+      want = Bandwidth::FromBitsPerSlot(ctx.options.fallback_bandwidth);
     }
 
-    const Bandwidth want =
-        fallback_ ? Bandwidth::FromBitsPerSlot(opts_.fallback_bandwidth)
-                  : inner_want;
-    if (!outstanding_ && want != effective && now >= next_attempt_at_) {
-      const bool retry = have_last_want_ && want == last_want_;
-      if (retry) {
+    if (!outstanding_ && want != out.committed && now >= next_attempt_at_) {
+      if (have_last_want_ && want == last_want_) {
         ++retries_;
-        tracer_.Emit(TraceEventType::kSignalRetry, now, session_, want.raw(),
-                     backoff_);
+        ctx.tracer.Emit(TraceEventType::kSignalRetry, now, ctx.session,
+                        want.raw(), backoff_);
       }
       channel_.Request(now, want);
-      if (telemetry_ != nullptr) {
-        telemetry_->Add(telemetry::Counter::kSignalsSent);
-      }
+      if (shard != nullptr) shard->Add(telemetry::Counter::kSignalsSent);
       request_slot_ = now;
       have_last_want_ = true;
       last_want_ = want;
       outstanding_ = true;
-      deadline_ = now + channel_.WorstCaseResponse() + opts_.timeout_margin;
-      effective = channel_.Effective(now);  // zero-latency paths commit now
+      deadline_ = now + channel_.WorstCaseResponse() + kTimeoutMargin;
+      out.committed = channel_.Effective(now);  // zero-latency paths commit
     }
-    return effective;
+    return out;
   }
 
-  void OnServed(Time now, Bits served, Bits queue_after) override {
-    inner_->OnServed(now, served, queue_after);
+  // After the slot's service: a fallback drain that emptied the queue
+  // hands the lane back to the caller's want.
+  void OnServed(Bits queue_after) {
     if (fallback_ && queue_after == 0) {
-      // Drain complete: hand control back to the inner allocator.
       fallback_ = false;
       consecutive_denials_ = 0;
-      backoff_ = opts_.initial_backoff;
+      backoff_ = kInitialBackoff;
     }
   }
 
-  std::int64_t stages() const override { return inner_->stages(); }
+  // The session departed: forget the outstanding request, the fallback
+  // drain and the denial streak, so a rejoin starts from a clean lane.
+  void Park(Time now) {
+    outstanding_ = false;
+    fallback_ = false;
+    consecutive_denials_ = 0;
+    backoff_ = kInitialBackoff;
+    have_last_want_ = false;
+    next_attempt_at_ = now;
+    request_slot_ = -1;
+  }
 
-  // Channel ground truth plus the adapter's endpoint-side counters.
-  FaultStats fault_stats() const {
+  // The allocation in force during slot `now`; idempotent within a slot.
+  Bandwidth Committed(Time now) { return channel_.Effective(now); }
+
+  bool outstanding() const { return outstanding_; }
+  bool in_fallback() const { return fallback_; }
+
+  // Channel ground truth plus the lane's endpoint-side counters.
+  FaultStats stats() const {
     FaultStats s = channel_.stats();
     s.timeouts = timeouts_;
     s.retries = retries_;
@@ -421,29 +448,12 @@ class RobustSignalingAdapter final : public SingleSessionAllocator {
     return s;
   }
 
-  bool in_fallback() const { return fallback_; }
-
-  // Attach a tracer to the adapter and its channel; events are tagged with
-  // `session` (-1 = untagged).
-  void SetTracer(const Tracer& tracer, std::int64_t session = -1) {
-    tracer_ = tracer;
-    session_ = session;
+  // Tags the channel's own events; the lane's come from SignalContext.
+  void SetTracer(const Tracer& tracer, std::int64_t session) {
     channel_.SetTracer(tracer, session);
   }
 
-  // Live telemetry (signal RTT, backoff episodes, denial/timeout counts).
-  // Nondeterministic lane: never saved in checkpoints, never affects the
-  // adapter's decisions.
-  void SetTelemetry(telemetry::RuntimeShard* shard) { telemetry_ = shard; }
-
-  // --- checkpoint/restore ---------------------------------------------------
-  bool SupportsCheckpoint() const override {
-    return inner_->SupportsCheckpoint();
-  }
-
-  void SaveState(StateWriter& w) const override {
-    w.Tag("RSA1");
-    inner_->SaveState(w);
+  void SaveState(StateWriter& w) const {
     channel_.SaveState(w);
     w.Bool(outstanding_);
     w.I64(deadline_);
@@ -460,9 +470,7 @@ class RobustSignalingAdapter final : public SingleSessionAllocator {
     w.I64(fallbacks_);
   }
 
-  void LoadState(StateReader& r) override {
-    r.Tag("RSA1");
-    inner_->LoadState(r);
+  void LoadState(StateReader& r) {
     channel_.LoadState(r);
     outstanding_ = r.Bool();
     deadline_ = r.I64();
@@ -480,14 +488,18 @@ class RobustSignalingAdapter final : public SingleSessionAllocator {
   }
 
  private:
-  std::unique_ptr<SingleSessionAllocator> inner_;
-  FaultySignalingChannel channel_;
-  RobustOptions opts_;
+  // A NACK or a timeout: wait out the backoff, then double it up to the cap.
+  void BackOff(Time now, const RobustOptions& options) {
+    outstanding_ = false;
+    next_attempt_at_ = now + backoff_;
+    backoff_ = std::min(backoff_ * 2, options.max_backoff);
+  }
 
+  FaultySignalingChannel channel_;
   bool outstanding_ = false;
   Time deadline_ = 0;
   Time next_attempt_at_ = 0;
-  Time backoff_;
+  Time backoff_ = kInitialBackoff;
   std::int64_t consecutive_denials_ = 0;
   bool fallback_ = false;
   Bandwidth last_want_;
@@ -497,12 +509,88 @@ class RobustSignalingAdapter final : public SingleSessionAllocator {
   std::int64_t timeouts_ = 0;
   std::int64_t retries_ = 0;
   std::int64_t fallbacks_ = 0;
+  // Live lane only (not checkpointed): the slot of the last request, for
+  // ack RTT telemetry. A resume restarts the measurement.
+  Time request_slot_ = -1;
+};
+
+inline void RobustOptions::Validate() const {
+  BW_REQUIRE(max_backoff >= SignalLane::kInitialBackoff,
+             "RobustOptions: max_backoff >= initial backoff (1)");
+  BW_REQUIRE(fallback_bandwidth > 0,
+             "RobustOptions: fallback_bandwidth must be > 0");
+}
+
+// Wraps any single-session allocator behind one SignalLane. The inner
+// allocator always advances, even while its decisions cannot be
+// signalled, so its state machine tracks the actual traffic; its ask is
+// the lane's want.
+class RobustSignalingAdapter final : public SingleSessionAllocator {
+ public:
+  RobustSignalingAdapter(std::unique_ptr<SingleSessionAllocator> inner,
+                         const NetworkPath& path, const FaultPlan& plan,
+                         const RobustOptions& options)
+      : inner_(std::move(inner)),
+        lane_(FaultySignalingChannel(path, plan)),
+        opts_(options) {
+    BW_REQUIRE(inner_ != nullptr, "RobustSignalingAdapter: null inner");
+    plan.ValidateRecoverable();
+    opts_.Validate();
+  }
+
+  Bandwidth OnSlot(Time now, Bits arrivals, Bits queue) override {
+    const Bandwidth want = inner_->OnSlot(now, arrivals, queue);
+    return lane_.Step(now, want, queue, {opts_, tracer_, telemetry_, session_})
+        .committed;
+  }
+
+  void OnServed(Time now, Bits served, Bits queue_after) override {
+    inner_->OnServed(now, served, queue_after);
+    lane_.OnServed(queue_after);
+  }
+
+  std::int64_t stages() const override { return inner_->stages(); }
+
+  FaultStats fault_stats() const { return lane_.stats(); }
+  bool in_fallback() const { return lane_.in_fallback(); }
+
+  // Attach a tracer to the adapter and its channel; events are tagged with
+  // `session` (-1 = untagged).
+  void SetTracer(const Tracer& tracer, std::int64_t session = -1) {
+    tracer_ = tracer;
+    session_ = session;
+    lane_.SetTracer(tracer, session);
+  }
+
+  // Live telemetry (signal RTT, backoff episodes, denial/timeout counts).
+  // Nondeterministic lane: never saved in checkpoints, never affects the
+  // adapter's decisions.
+  void SetTelemetry(telemetry::RuntimeShard* shard) { telemetry_ = shard; }
+
+  // --- checkpoint/restore ---------------------------------------------------
+  bool SupportsCheckpoint() const override {
+    return inner_->SupportsCheckpoint();
+  }
+
+  void SaveState(StateWriter& w) const override {
+    w.Tag("RSA1");
+    inner_->SaveState(w);
+    lane_.SaveState(w);
+  }
+
+  void LoadState(StateReader& r) override {
+    r.Tag("RSA1");
+    inner_->LoadState(r);
+    lane_.LoadState(r);
+  }
+
+ private:
+  std::unique_ptr<SingleSessionAllocator> inner_;
+  SignalLane lane_;
+  RobustOptions opts_;
   Tracer tracer_;  // disabled unless SetTracer was called
   std::int64_t session_ = -1;
-  // Live-lane only (not checkpointed): shard + the slot of the last
-  // request, for ack RTT measurement. A resume restarts the measurement.
   telemetry::RuntimeShard* telemetry_ = nullptr;
-  Time request_slot_ = -1;
 };
 
 }  // namespace bwalloc

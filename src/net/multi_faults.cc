@@ -1,7 +1,5 @@
 #include "net/multi_faults.h"
 
-#include <algorithm>
-
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -25,7 +23,7 @@ FaultPlan PerSessionPlan(const FaultPlan& plan, std::int64_t session) {
 
 RobustMultiSessionAdapter::RobustMultiSessionAdapter(
     std::unique_ptr<MultiSessionSystem> inner, const NetworkPath& path,
-    const FaultPlan& plan, const RobustMultiOptions& options)
+    const FaultPlan& plan, const RobustOptions& options)
     : inner_(std::move(inner)),
       opts_(options),
       sessions_(RequireSessions(inner_.get())),
@@ -35,7 +33,6 @@ RobustMultiSessionAdapter::RobustMultiSessionAdapter(
   lanes_.reserve(static_cast<std::size_t>(sessions_));
   for (std::int64_t i = 0; i < sessions_; ++i) {
     lanes_.emplace_back(FaultySignalingChannel(path, PerSessionPlan(plan, i)));
-    lanes_.back().backoff = opts_.initial_backoff;
   }
 }
 
@@ -70,14 +67,8 @@ void RobustMultiSessionAdapter::StepSparse(
   channels_.ServeActiveSlot(now);
 
   for (std::int64_t i = 0; i < sessions_; ++i) {
-    Lane& lane = lanes_[static_cast<std::size_t>(i)];
-    if (!lane.active) continue;
-    if (lane.fallback && channels_.regular_queue_size(i) == 0) {
-      // Drain complete: hand the lane back to the control model's intent.
-      lane.fallback = false;
-      lane.consecutive_denials = 0;
-      lane.backoff = opts_.initial_backoff;
-    }
+    SignalLane& signal = lanes_[static_cast<std::size_t>(i)].signal;
+    if (signal.in_fallback()) signal.OnServed(channels_.regular_queue_size(i));
   }
 
   if (telemetry_ != nullptr) {
@@ -88,122 +79,34 @@ void RobustMultiSessionAdapter::StepSparse(
 void RobustMultiSessionAdapter::StepLane(Time now, std::int64_t i,
                                          Bandwidth intended) {
   Lane& lane = lanes_[static_cast<std::size_t>(i)];
-  const bool was_degraded = lane.degraded;
-  Bandwidth effective = lane.channel.Effective(now);
   const Bits queue = channels_.regular_queue_size(i);
+  // Degraded-mode discipline for decreases: the control model's phantom
+  // queues drained at rates this lane never committed, so its step-down
+  // may be premature for the real backlog. Hold the committed rate until
+  // the lane's own queue empties, then follow the decrease.
+  const Bandwidth committed = lane.signal.Committed(now);
+  const Bandwidth want =
+      queue > 0 && intended < committed ? committed : intended;
+  const SignalStep step =
+      lane.signal.Step(now, want, queue, {opts_, tracer_, telemetry_, i});
 
-  const std::int64_t acks = lane.channel.AcksArrived(now);
-  if (acks > lane.seen_acks) {
-    if (telemetry_ != nullptr) {
-      telemetry_->Add(telemetry::Counter::kSignalAcks, acks - lane.seen_acks);
-      if (lane.request_slot >= 0) {
-        telemetry_->Record(telemetry::Histo::kSignalRttSlots,
-                           now - lane.request_slot);
-        lane.request_slot = -1;
-      }
-      if (lane.backoff > opts_.initial_backoff) {
-        // The episode only counts once it actually escalated past the
-        // initial wait; record its length at the moment it resolves.
-        telemetry_->Record(telemetry::Histo::kBackoffEpisodeSlots,
-                           lane.backoff);
-      }
-    }
-    // Our request committed (possibly partially): progress, so reset the
-    // backoff and the denial streak.
-    lane.seen_acks = acks;
-    lane.outstanding = false;
-    lane.backoff = opts_.initial_backoff;
-    lane.consecutive_denials = 0;
-    lane.next_attempt_at = now;
-    if (lane.have_last_want && effective != lane.last_want) {
-      lane.degraded = true;  // partial grant: another ask must converge it
-    }
-  }
-  const std::int64_t nacks = lane.channel.DenialsArrived(now);
-  if (nacks > lane.seen_nacks) {
-    if (telemetry_ != nullptr) {
-      telemetry_->Add(telemetry::Counter::kSignalNacks,
-                      nacks - lane.seen_nacks);
-    }
-    lane.consecutive_denials += nacks - lane.seen_nacks;
-    lane.seen_nacks = nacks;
-    lane.outstanding = false;
-    lane.next_attempt_at = now + lane.backoff;
-    lane.backoff = std::min(lane.backoff * 2, opts_.max_backoff);
-    lane.degraded = true;
-  }
-  if (lane.outstanding && now >= lane.deadline) {
-    ++lane.timeouts;  // past worst-case response: the message was lost
-    if (telemetry_ != nullptr) {
-      telemetry_->Add(telemetry::Counter::kSignalTimeouts);
-    }
-    tracer_.Emit(TraceEventType::kSignalTimeout, now, i, lane.deadline);
-    lane.outstanding = false;
-    lane.next_attempt_at = now + lane.backoff;
-    lane.backoff = std::min(lane.backoff * 2, opts_.max_backoff);
-    lane.degraded = true;
-  }
-
-  if (!lane.fallback && queue > 0 &&
-      lane.consecutive_denials >= opts_.fallback_after_denials) {
-    lane.fallback = true;
-    ++lane.fallbacks;
-    if (telemetry_ != nullptr) {
-      telemetry_->Add(telemetry::Counter::kSignalFallbacks);
-    }
-    tracer_.Emit(TraceEventType::kSignalFallback, now, i,
-                 opts_.fallback_bandwidth);
-  }
-
-  Bandwidth want;
-  if (lane.fallback) {
-    want = Bandwidth::FromBitsPerSlot(opts_.fallback_bandwidth);
-  } else if (queue > 0 && intended < effective) {
-    // Degraded-mode discipline for decreases: the control model's phantom
-    // queues drained at rates this lane never committed, so its step-down
-    // may be premature for the real backlog. Hold the committed rate until
-    // the lane's own queue empties, then follow the decrease.
-    want = effective;
-  } else {
-    want = intended;
-  }
-
-  if (!lane.outstanding && want != effective && now >= lane.next_attempt_at) {
-    const bool retry = lane.have_last_want && want == lane.last_want;
-    if (retry) {
-      ++lane.retries;
-      tracer_.Emit(TraceEventType::kSignalRetry, now, i, want.raw(),
-                   lane.backoff);
-    }
-    if (telemetry_ != nullptr) {
-      telemetry_->Add(telemetry::Counter::kSignalsSent);
-      lane.request_slot = now;
-    }
-    lane.channel.Request(now, want);
-    lane.have_last_want = true;
-    lane.last_want = want;
-    lane.outstanding = true;
-    lane.deadline =
-        now + lane.channel.WorstCaseResponse() + opts_.timeout_margin;
-    effective = lane.channel.Effective(now);  // zero-latency paths commit now
-  }
-
-  if (lane.degraded && !lane.outstanding && !lane.fallback &&
-      effective == want) {
+  const bool was_degraded = lane.degraded;
+  if (step.setback) lane.degraded = true;  // another ask must converge it
+  if (lane.degraded && !lane.signal.outstanding() &&
+      !lane.signal.in_fallback() && step.committed == want) {
     // The committed allocation is back at the lane's chosen rate (the
     // intent, or a held drain rate that covers it): close the degraded
     // window so the auditor can resume its per-session monitors.
     lane.degraded = false;
-    tracer_.Emit(TraceEventType::kSignalRecover, now, i, effective.raw());
+    tracer_.Emit(TraceEventType::kSignalRecover, now, i, step.committed.raw());
   }
-
   // Maintained unconditionally (degraded flips only happen here) so the
   // gauge is right even when a telemetry shard is attached mid-run.
   if (lane.degraded != was_degraded) {
     degraded_count_ += lane.degraded ? 1 : -1;
   }
 
-  channels_.SetRegular(i, effective);
+  channels_.SetRegular(i, step.committed);
 }
 
 void RobustMultiSessionAdapter::OnSessionJoin(Time now, std::int64_t session) {
@@ -218,13 +121,7 @@ Bits RobustMultiSessionAdapter::OnSessionDepart(Time now,
   inner_->OnSessionDepart(now, session);
   Lane& lane = lanes_[static_cast<std::size_t>(session)];
   lane.active = false;
-  lane.outstanding = false;
-  lane.fallback = false;
-  lane.consecutive_denials = 0;
-  lane.backoff = opts_.initial_backoff;
-  lane.have_last_want = false;
-  lane.next_attempt_at = now;
-  lane.request_slot = -1;
+  lane.signal.Park(now);
   if (lane.degraded) {
     lane.degraded = false;
     --degraded_count_;
@@ -255,7 +152,7 @@ void RobustMultiSessionAdapter::SetTracer(const Tracer& tracer) {
   // fault-free discipline mid-outage.
   tracer_ = tracer;
   for (std::int64_t i = 0; i < sessions_; ++i) {
-    lanes_[static_cast<std::size_t>(i)].channel.SetTracer(tracer, i);
+    lanes_[static_cast<std::size_t>(i)].signal.SetTracer(tracer, i);
   }
 }
 
@@ -269,20 +166,14 @@ std::vector<FaultStats> RobustMultiSessionAdapter::per_session_fault_stats()
     const {
   std::vector<FaultStats> out;
   out.reserve(lanes_.size());
-  for (const Lane& lane : lanes_) {
-    FaultStats s = lane.channel.stats();
-    s.timeouts = lane.timeouts;
-    s.retries = lane.retries;
-    s.fallbacks = lane.fallbacks;
-    out.push_back(s);
-  }
+  for (const Lane& lane : lanes_) out.push_back(lane.signal.stats());
   return out;
 }
 
 bool RobustMultiSessionAdapter::in_fallback(std::int64_t session) const {
   BW_CHECK(session >= 0 && session < sessions_,
            "in_fallback: session out of range");
-  return lanes_[static_cast<std::size_t>(session)].fallback;
+  return lanes_[static_cast<std::size_t>(session)].signal.in_fallback();
 }
 
 }  // namespace bwalloc

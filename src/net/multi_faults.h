@@ -1,32 +1,28 @@
 // Unreliable control plane for the multi-session algorithms.
 //
-// PR 2 gave the single-session allocator a fault-injected signalling path
-// (net/faults.h); the multi-session engines still assumed every
-// per-session renegotiation commits instantly and in full. This header
-// closes that gap:
-//
 //   * PerSessionPlan derives session i's private fault lane from one
 //     shared FaultPlan seed via SplitMix64, so lane i's loss/denial/jitter
 //     stream is a pure function of (plan seed, i, attempt index) — it does
 //     not depend on how many sessions exist or on the --jobs value.
 //   * RobustMultiSessionAdapter wraps any MultiSessionSystem (phased,
-//     continuous, combined) behind a shared NetworkPath with one
-//     FaultySignalingChannel per session. Each lane runs the same
-//     stop-and-wait / timeout-as-loss / capped-exponential-backoff /
-//     RESET-fallback state machine as the single-session
-//     RobustSignalingAdapter, independently per session.
+//     continuous, combined) behind a shared NetworkPath with one SignalLane
+//     (net/faults.h) per session: the same retry state machine the
+//     single-session RobustSignalingAdapter runs, stepped independently
+//     per session.
 //
 // Degraded-mode discipline: the wrapped algorithm always advances,
 // fault-free, on its own (phantom) channels — it is the control model
 // whose per-session intents the lanes try to commit. The adapter owns the
 // *real* SessionChannels: bits are enqueued there and served at the last
-// committed per-session allocation. The inner system's trace events
-// (phase boundaries, stage certifications, global RESETs) are suppressed
-// because they describe allocations that may never have committed; the
-// adapter instead emits per-session signal fault/recovery events so the
-// auditor can suspend its delay and change-budget monitors exactly during
-// each session's degraded window and assert the lane re-converges within
-// the retry bound (kSignalRecover).
+// committed per-session allocation, and a lane holds a decrease until its
+// real queue empties. The inner system's trace events (phase boundaries,
+// stage certifications, global RESETs) are suppressed because they
+// describe allocations that may never have committed; the adapter instead
+// emits per-session signal fault/recovery events. A partial grant, a NACK
+// or a timeout opens a lane's degraded window, and kSignalRecover closes
+// it once the lane's ask is committed again, so the auditor can suspend
+// its delay and change-budget monitors exactly during each window and
+// assert the lane re-converges within the retry bound.
 #pragma once
 
 #include <memory>
@@ -49,32 +45,16 @@ namespace bwalloc {
 // shared plan seed and the session index only.
 FaultPlan PerSessionPlan(const FaultPlan& plan, std::int64_t session);
 
-// Retry/degradation policy, applied independently per session lane.
-struct RobustMultiOptions {
-  Time timeout_margin = 2;    // extra slots past WorstCaseResponse
-  Time initial_backoff = 1;   // slots before the first re-attempt
-  Time max_backoff = 64;      // exponential backoff cap
-  std::int64_t fallback_after_denials = 3;  // K consecutive denials
-  Bits fallback_bandwidth = 0;  // per-session RESET drain rate, typically B_A
-
-  void Validate() const {
-    BW_REQUIRE(timeout_margin >= 1, "RobustMultiOptions: timeout_margin >= 1");
-    BW_REQUIRE(initial_backoff >= 1,
-               "RobustMultiOptions: initial_backoff >= 1");
-    BW_REQUIRE(max_backoff >= initial_backoff,
-               "RobustMultiOptions: max_backoff >= initial_backoff");
-    BW_REQUIRE(fallback_after_denials >= 1,
-               "RobustMultiOptions: fallback_after_denials >= 1");
-    BW_REQUIRE(fallback_bandwidth > 0,
-               "RobustMultiOptions: fallback_bandwidth must be > 0");
-  }
-};
+// The former multi-session name of RobustOptions, still used by
+// perfbench. The multi adapter's fallback drain rate is the algorithm's
+// declared total.
+using RobustMultiOptions = RobustOptions;
 
 class RobustMultiSessionAdapter final : public MultiSessionSystem {
  public:
   RobustMultiSessionAdapter(std::unique_ptr<MultiSessionSystem> inner,
                             const NetworkPath& path, const FaultPlan& plan,
-                            const RobustMultiOptions& options);
+                            const RobustOptions& options);
 
   // The control model and the real data plane step sparsely; every active
   // lane still runs its retry state machine each slot.
@@ -135,20 +115,7 @@ class RobustMultiSessionAdapter final : public MultiSessionSystem {
     channels_.SaveState(w);
     w.U64(lanes_.size());
     for (const Lane& lane : lanes_) {
-      lane.channel.SaveState(w);
-      w.Bool(lane.outstanding);
-      w.I64(lane.deadline);
-      w.I64(lane.next_attempt_at);
-      w.I64(lane.backoff);
-      w.I64(lane.consecutive_denials);
-      w.Bool(lane.fallback);
-      w.I64(lane.last_want.raw());
-      w.Bool(lane.have_last_want);
-      w.I64(lane.seen_acks);
-      w.I64(lane.seen_nacks);
-      w.I64(lane.timeouts);
-      w.I64(lane.retries);
-      w.I64(lane.fallbacks);
+      lane.signal.SaveState(w);
       w.Bool(lane.degraded);
       w.Bool(lane.active);
     }
@@ -162,60 +129,29 @@ class RobustMultiSessionAdapter final : public MultiSessionSystem {
     if (n != lanes_.size()) {
       throw StateFormatError("fault lane count mismatch in checkpoint");
     }
+    degraded_count_ = 0;
     for (Lane& lane : lanes_) {
-      lane.channel.LoadState(r);
-      lane.outstanding = r.Bool();
-      lane.deadline = r.I64();
-      lane.next_attempt_at = r.I64();
-      lane.backoff = r.I64();
-      lane.consecutive_denials = r.I64();
-      lane.fallback = r.Bool();
-      lane.last_want = Bandwidth::FromRaw(r.I64());
-      lane.have_last_want = r.Bool();
-      lane.seen_acks = r.I64();
-      lane.seen_nacks = r.I64();
-      lane.timeouts = r.I64();
-      lane.retries = r.I64();
-      lane.fallbacks = r.I64();
+      lane.signal.LoadState(r);
       lane.degraded = r.Bool();
       lane.active = r.Bool();
-    }
-    degraded_count_ = 0;
-    for (const Lane& lane : lanes_) {
       if (lane.degraded) ++degraded_count_;
     }
   }
 
  private:
-  // One independent stop-and-wait retry state machine per session.
+  // Session i's signalling lane plus the multi-only bookkeeping around it.
   struct Lane {
-    explicit Lane(FaultySignalingChannel ch) : channel(std::move(ch)) {}
+    explicit Lane(FaultySignalingChannel ch) : signal(std::move(ch)) {}
 
-    FaultySignalingChannel channel;
-    bool outstanding = false;
-    Time deadline = 0;
-    Time next_attempt_at = 0;
-    Time backoff = 1;
-    std::int64_t consecutive_denials = 0;
-    bool fallback = false;
-    Bandwidth last_want;
-    bool have_last_want = false;
-    std::int64_t seen_acks = 0;
-    std::int64_t seen_nacks = 0;
-    std::int64_t timeouts = 0;
-    std::int64_t retries = 0;
-    std::int64_t fallbacks = 0;
+    SignalLane signal;
     bool degraded = false;  // open fault window; closed by kSignalRecover
     bool active = true;     // churn mask; parked lanes are skipped entirely
-    // Live-lane only (not checkpointed): slot of the last request, for
-    // ack RTT telemetry. A resume restarts the measurement.
-    Time request_slot = -1;
   };
 
   void StepLane(Time now, std::int64_t i, Bandwidth intended);
 
   std::unique_ptr<MultiSessionSystem> inner_;
-  RobustMultiOptions opts_;
+  RobustOptions opts_;
   std::int64_t sessions_;
   SessionChannels channels_;
   std::vector<Lane> lanes_;

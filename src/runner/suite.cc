@@ -33,6 +33,13 @@ struct CellOutcome {
   std::vector<AuditViolation> audit_violations;
 };
 
+// Faulted cells run the default retry policy. Degraded runs hold a
+// backlog for many retry rounds, so `drain` grows by the retry horizon and
+// the auditor's degraded delay bound matches it.
+RobustOptions::AuditSlack CellSlack(const SuiteSpec& spec, Time drain) {
+  return RobustOptions{}.Slack(spec.fault_hops, spec.fault_jitter, drain);
+}
+
 // Auditor for a single-session cell, tuned to the cell's own guarantees:
 // a faulty control plane erodes the delay bound by up to two commit
 // latencies even fault-free, and degraded episodes run under the
@@ -42,8 +49,9 @@ AuditConfig SingleCellAuditConfig(const SuiteSpec& spec) {
       SingleAuditConfig(spec.ba, spec.da, spec.inv_ua, spec.window);
   cfg.modified_variant = (spec.algo == "modified");
   if (spec.fault_hops > 0) {
-    cfg.delay_slack = 2 * (spec.fault_hops + spec.fault_jitter) + 2;
-    cfg.degraded_delay_slack = 2 * spec.da + 64 * spec.fault_hops;
+    const RobustOptions::AuditSlack slack = CellSlack(spec, 2 * spec.da);
+    cfg.delay_slack = slack.delay_slack;
+    cfg.degraded_delay_slack = slack.degraded_delay_slack;
   }
   cfg.max_violations = kMaxAuditShown;
   return cfg;
@@ -57,10 +65,10 @@ AuditConfig MultiCellAuditConfig(const SuiteSpec& spec, std::int64_t k,
   AuditConfig cfg = MultiAuditConfig(k, offline_bandwidth, spec.d_o,
                                      spec.multi_algo == "phased");
   if (spec.fault_hops > 0) {
-    cfg.delay_slack = 2 * (spec.fault_hops + spec.fault_jitter) + 2;
-    cfg.degraded_delay_slack = 8 * spec.d_o + 64 * spec.fault_hops;
-    cfg.fault_recovery_bound =
-        64 + 2 * (spec.fault_hops + spec.fault_jitter) + 8;
+    const RobustOptions::AuditSlack slack = CellSlack(spec, 8 * spec.d_o);
+    cfg.delay_slack = slack.delay_slack;
+    cfg.degraded_delay_slack = slack.degraded_delay_slack;
+    cfg.fault_recovery_bound = slack.fault_recovery_bound;
   }
   cfg.max_violations = kMaxAuditShown;
   return cfg;
@@ -144,9 +152,7 @@ CellOutcome RunSingleCell(const SuiteSpec& spec, const TaskContext& ctx) {
         ropts);
     if (observe) adapter.SetTracer(tracer);
     if (tele != nullptr) adapter.SetTelemetry(tele);
-    // Degraded runs can hold a backlog for many retry rounds; give the
-    // drain tail room proportional to the retry horizon.
-    opt.drain_slots = 2 * spec.da + 64 * spec.fault_hops;
+    opt.drain_slots = CellSlack(spec, 2 * spec.da).degraded_delay_slack;
     r = RunSingleSession(trace, adapter, opt);
     r.faults = adapter.fault_stats();
   } else {
@@ -247,18 +253,17 @@ CellOutcome RunMultiCell(const SuiteSpec& spec, const TaskContext& ctx) {
     plan.partial_grant_rate = spec.fault_partial;
     plan.max_jitter = spec.fault_jitter;
     plan.seed = SplitMix64(ctx.seed);
-    RobustMultiOptions mopts;
+    RobustOptions ropts;
     // Fall back to the algorithm's declared total (4 B_O phased,
     // 5 B_O continuous): a RESET drain may not starve any session.
-    mopts.fallback_bandwidth =
+    ropts.fallback_bandwidth =
         (spec.multi_algo == "phased" ? 4 : 5) * p.offline_bandwidth;
     auto adapter = std::make_unique<RobustMultiSessionAdapter>(
         std::move(sys), NetworkPath::Uniform(spec.fault_hops, 1, 1.0), plan,
-        mopts);
+        ropts);
     robust = adapter.get();
     sys = std::move(adapter);
-    // Degraded lanes can hold a backlog for many retry rounds.
-    opt.drain_slots = 8 * spec.d_o + 64 * spec.fault_hops;
+    opt.drain_slots = CellSlack(spec, 8 * spec.d_o).degraded_delay_slack;
   }
   MultiRunResult r = RunMultiSessionEvent(traces, *sys, opt);
   if (robust != nullptr) {

@@ -143,9 +143,12 @@ TEST(Auditor, SeededConservationViolationIsCaught) {
 TEST(Auditor, DegradedModeHasNoFalsePositivesUnderFaults) {
   const std::int64_t hops = 3;
   for (const std::uint64_t seed : {31u, 32u, 33u}) {
+    RobustOptions ropts;
+    ropts.fallback_bandwidth = kBa;
+    const RobustOptions::AuditSlack slack = ropts.Slack(hops, 2, 4 * kDa);
     AuditConfig cfg = SingleAuditConfig(kBa, kDa, 6, kW);
-    cfg.delay_slack = 2 * (hops + 2) + 2;
-    cfg.degraded_delay_slack = 4 * kDa + 64 * hops;
+    cfg.delay_slack = slack.delay_slack;
+    cfg.degraded_delay_slack = slack.degraded_delay_slack;
     Auditor auditor(cfg);
     AuditingSink sink(&auditor);
 
@@ -156,15 +159,13 @@ TEST(Auditor, DegradedModeHasNoFalsePositivesUnderFaults) {
     plan.denial_rate = 0.2;
     plan.max_jitter = 2;
     plan.seed = seed;
-    RobustOptions ropts;
-    ropts.fallback_bandwidth = kBa;
     auto online = std::make_unique<SingleSessionOnline>(Params());
     SingleSessionOnline* inner = online.get();
     RobustSignalingAdapter adapter(std::move(online),
                                    NetworkPath::Uniform(hops, 1, 1.0), plan,
                                    ropts);
     SingleEngineOptions opt;
-    opt.drain_slots = 4 * kDa + 64 * hops;
+    opt.drain_slots = slack.degraded_delay_slack;
     opt.tracer = Tracer(&sink, kAllEvents, {"faulted", 0});
     TracerStageObserver observer(opt.tracer);
     inner->SetObserver(&observer);

@@ -138,9 +138,11 @@ AuditConfig MakeAuditConfig(const RunSpec& spec) {
     cfg.loose_stages = true;
   }
   if (spec.hops > 0) {
-    cfg.delay_slack = 2 * (spec.hops + spec.plan.max_jitter) + 2;
-    cfg.degraded_delay_slack = 8 * spec.d_o + 64 * spec.hops;
-    cfg.fault_recovery_bound = 64 + 2 * (spec.hops + spec.plan.max_jitter) + 8;
+    const RobustOptions::AuditSlack slack =
+        RobustOptions{}.Slack(spec.hops, spec.plan.max_jitter, 8 * spec.d_o);
+    cfg.delay_slack = slack.delay_slack;
+    cfg.degraded_delay_slack = slack.degraded_delay_slack;
+    cfg.fault_recovery_bound = slack.fault_recovery_bound;
     if (combined) cfg.max_delay = 0;
   }
   return cfg;
@@ -189,7 +191,7 @@ RunArtifacts RunOne(const RunSpec& spec_in, Mode mode) {
   std::unique_ptr<MultiSessionSystem> sys = MakeSystem(spec);
   RobustMultiSessionAdapter* robust = nullptr;
   if (spec.hops > 0) {
-    RobustMultiOptions mopts;
+    RobustOptions mopts;
     mopts.fallback_bandwidth = DeclaredTotal(spec);
     auto adapter = std::make_unique<RobustMultiSessionAdapter>(
         std::move(sys), NetworkPath::Uniform(spec.hops, 1, 1.0), spec.plan,

@@ -37,8 +37,8 @@ MultiSessionParams Params(std::int64_t k = kSessions) {
   return p;
 }
 
-RobustMultiOptions Opts(Bits fallback) {
-  RobustMultiOptions o;
+RobustOptions Opts(Bits fallback) {
+  RobustOptions o;
   o.fallback_bandwidth = fallback;
   return o;
 }

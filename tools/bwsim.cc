@@ -502,6 +502,13 @@ int RunSingle(Flags& flags) {
   opt.drain_slots = 4 * da;
   opt.utilization_scan_window = w + 5 * (da / 2);
 
+  RobustOptions ropts;
+  ropts.fallback_bandwidth = ba;
+  // Retry rounds lengthen drains, and degraded episodes run out to the
+  // same horizon.
+  const RobustOptions::AuditSlack slack =
+      ropts.Slack(hops, plan.max_jitter, 4 * da);
+
   const bool theorem_algo =
       algo == "online" || algo == "modified" || algo == "online-global";
   BufferTraceSink sink;
@@ -514,10 +521,8 @@ int RunSingle(Flags& flags) {
       cfg.modified_variant = algo == "modified";
       cfg.global_utilization = algo == "online-global";
       if (hops > 0) {
-        // Commits land up to one round-trip late even fault-free, and
-        // degraded episodes run out to the retry/fallback horizon.
-        cfg.delay_slack = 2 * (hops + plan.max_jitter) + 2;
-        cfg.degraded_delay_slack = 4 * da + 64 * hops;
+        cfg.delay_slack = slack.delay_slack;
+        cfg.degraded_delay_slack = slack.degraded_delay_slack;
       }
     }
     auditor.emplace(cfg);
@@ -542,14 +547,12 @@ int RunSingle(Flags& flags) {
 
   RobustSignalingAdapter* robust = nullptr;
   if (hops > 0) {
-    RobustOptions ropts;
-    ropts.fallback_bandwidth = ba;
     auto adapter = std::make_unique<RobustSignalingAdapter>(
         std::move(alloc), NetworkPath::Uniform(hops, 1, 1.0), plan, ropts);
     robust = adapter.get();
     if (observe) robust->SetTracer(opt.tracer);
     alloc = std::move(adapter);
-    opt.drain_slots = 4 * da + 64 * hops;  // retry rounds lengthen drains
+    opt.drain_slots = slack.degraded_delay_slack;
   }
   opt.checkpoint = ckpt_cli.options;
   if (!ckpt_cli.resume_blob.empty()) {
@@ -767,19 +770,22 @@ int RunMulti(Flags& flags) {
                           : algo == "combined"     ? 7
                                                    : 8) *
       bo;
+  RobustOptions ropts;
+  ropts.fallback_bandwidth = declared_total;
+  // Retry rounds and backed-off lanes lengthen drains, and degraded lanes
+  // run out to the same horizon.
+  const RobustOptions::AuditSlack slack =
+      ropts.Slack(hops, plan.max_jitter, 8 * d_o);
   RobustMultiSessionAdapter* robust = nullptr;
   if (hops > 0) {
-    RobustMultiOptions mopts;
-    mopts.fallback_bandwidth = declared_total;
     auto adapter = std::make_unique<RobustMultiSessionAdapter>(
-        std::move(sys), NetworkPath::Uniform(hops, 1, 1.0), plan, mopts);
+        std::move(sys), NetworkPath::Uniform(hops, 1, 1.0), plan, ropts);
     robust = adapter.get();
     sys = std::move(adapter);
   }
 
   MultiEngineOptions opt;
-  // Retry rounds and backed-off lanes lengthen drains.
-  opt.drain_slots = 8 * d_o + (hops > 0 ? 64 * hops : 0);
+  opt.drain_slots = slack.degraded_delay_slack;
   // The admission policy and driver outlive the engine call; the driver
   // borrows churn_plan, which is function-scoped above.
   std::optional<AdmissionController> admission_ctl;
@@ -814,12 +820,9 @@ int RunMulti(Flags& flags) {
       cfg.loose_stages = true;
     }
     if (hops > 0) {
-      // Commits land up to one round-trip late even fault-free; degraded
-      // lanes run out to the retry/fallback horizon. The recovery bound
-      // covers one backoff-capped cycle plus the worst-case response.
-      cfg.delay_slack = 2 * (hops + plan.max_jitter) + 2;
-      cfg.degraded_delay_slack = 8 * d_o + 64 * hops;
-      cfg.fault_recovery_bound = 64 + 2 * (hops + plan.max_jitter) + 8;
+      cfg.delay_slack = slack.delay_slack;
+      cfg.degraded_delay_slack = slack.degraded_delay_slack;
+      cfg.fault_recovery_bound = slack.fault_recovery_bound;
       if (algo == "combined" || algo == "combined-continuous") {
         // The adapter suppresses the inner system's kGlobalReset events
         // (they describe uncommitted allocations), so the delay monitor
