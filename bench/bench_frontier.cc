@@ -10,10 +10,10 @@
 // space, with the clairvoyant greedy as the reference point.
 // The second half is the engine scale frontier: the phased multi-session
 // algorithm driven by RunMultiSessionEvent over heavy-tail Pareto-burst
-// sparse traces, from 1k up to 1M sessions. The headline metric is ns per
-// slot per *active* session (cell wall time divided by the engine's
-// touched_session_slots counter) — the quantity the event-driven design
-// holds flat while k grows.
+// sparse traces, from 1k up to 1M sessions. Each cell's wall time is
+// divided by the engine's three deterministic work counters: ns per
+// arrival record, per session serve and per phase-boundary visit — the
+// quantities the event-driven design holds flat while k grows.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -141,9 +141,11 @@ int main(int argc, char** argv) {
 
   // --- engine scale frontier ----------------------------------------------
   // Phased multi-session algorithm on heavy-tail sparse bursts, 1k -> 1M
-  // sessions. The engine's cost is charged per *touched* session-slot.
+  // sessions. The cell's cost is charged to each of the engine's work
+  // counters in turn (arrivals, session serves, boundary visits).
   {
-    Table scale({"k", "slots", "touched sess-slots", "ns/slot/active",
+    Table scale({"k", "slots", "cell ms", "arrivals", "serves",
+                 "boundary visits", "ns/arrival", "ns/serve", "ns/visit",
                  "local changes"});
     const std::vector<std::int64_t> ks =
         rep.quick() ? std::vector<std::int64_t>{1024, 8192}
@@ -177,13 +179,27 @@ int main(int argc, char** argv) {
         er = RunMultiSessionEvent(sparse, sys, eopt);
       }
       const double ens = static_cast<double>(prof.phases().at(elabel).ns);
-      const double etouched =
-          std::max(static_cast<double>(stats.touched_session_slots), 1.0);
+      const auto per = [ens](std::int64_t count) {
+        return ens / std::max(static_cast<double>(count), 1.0);
+      };
       scale.AddRow({Table::Num(k), Table::Num(scale_horizon),
-                    Table::Num(stats.touched_session_slots),
-                    Table::Num(ens / etouched, 1),
+                    Table::Num(ens / 1e6, 1), Table::Num(stats.arrival_events),
+                    Table::Num(stats.session_serves),
+                    Table::Num(stats.boundary_visits),
+                    Table::Num(per(stats.arrival_events), 1),
+                    Table::Num(per(stats.session_serves), 1),
+                    Table::Num(per(stats.boundary_visits), 1),
                     Table::Num(er.local_changes)});
-      rep.RowInfo(elabel, "ns_per_slot_per_active_session", ens / etouched);
+      rep.RowInfo(elabel, "ns_per_arrival", per(stats.arrival_events));
+      rep.RowInfo(elabel, "ns_per_serve", per(stats.session_serves));
+      rep.RowInfo(elabel, "ns_per_boundary_visit",
+                  per(stats.boundary_visits));
+      rep.RowInfo(elabel, "arrival_events",
+                  static_cast<double>(stats.arrival_events));
+      rep.RowInfo(elabel, "session_serves",
+                  static_cast<double>(stats.session_serves));
+      rep.RowInfo(elabel, "boundary_visits",
+                  static_cast<double>(stats.boundary_visits));
       rep.RowInfo(elabel, "touched_session_slots",
                   static_cast<double>(stats.touched_session_slots));
       rep.RowInfo(elabel, "cell_ns", ens);

@@ -30,7 +30,7 @@ inline double JainIndex(const std::vector<double>& values) {
 // that delivered nothing are skipped).
 inline double DelayFairness(const MultiRunResult& run) {
   std::vector<double> means;
-  for (const DelayHistogram& h : run.per_session_delay) {
+  for (const DelaySummary& h : run.per_session_delay) {
     if (h.total_bits() > 0) means.push_back(h.MeanDelay() + 1.0);
   }
   return means.empty() ? 1.0 : JainIndex(means);
@@ -39,7 +39,7 @@ inline double DelayFairness(const MultiRunResult& run) {
 // Fairness of delivered volume per session.
 inline double ThroughputFairness(const MultiRunResult& run) {
   std::vector<double> delivered;
-  for (const DelayHistogram& h : run.per_session_delay) {
+  for (const DelaySummary& h : run.per_session_delay) {
     delivered.push_back(static_cast<double>(h.total_bits()));
   }
   return delivered.empty() ? 1.0 : JainIndex(delivered);

@@ -108,7 +108,7 @@ std::string ToJson(const MultiRunResult& result) {
   WriteDelay(w, result.delay);
   w.Key("per_session_max_delay");
   w.BeginArray();
-  for (const DelayHistogram& h : result.per_session_delay) {
+  for (const DelaySummary& h : result.per_session_delay) {
     w.Value(h.max_delay());
   }
   w.EndArray();

@@ -82,7 +82,7 @@ void CombinedOnline::StartLocalStage(Time now, bool shunt_regular) {
   if (new_share.raw() != share_.raw()) hot_.Fill();
   share_ = new_share;
   hot_.SortAscending();
-  for (const std::int64_t i : hot_.items()) {
+  for (const std::int64_t i : hot_.Sweep()) {
     if (!Active(i)) continue;
     if (shunt_regular && channels_.regular_queue_size(i) > 0) {
       channels_.MoveRegularToOverflow(i);
@@ -104,7 +104,7 @@ void CombinedOnline::PhaseBoundary(Time now) {
   const bool trace_shunts = tracer_.enabled(TraceEventType::kOverflowShunt);
   hot_.SortAscending();
   std::int64_t overloaded = 0;
-  for (const std::int64_t i : hot_.items()) {
+  for (const std::int64_t i : hot_.Sweep()) {
     if (!Active(i)) continue;
     if (!RegularOverloaded(i)) {
       channels_.SetOverflow(i, Bandwidth::Zero());
@@ -160,7 +160,7 @@ void CombinedOnline::ContinuousTest(Time now, std::int64_t i) {
 void CombinedOnline::GlobalReset(Time now) {
   reduce_wheel_.Clear();
   hot_.SortAscending();
-  for (const std::int64_t i : hot_.items()) {
+  for (const std::int64_t i : hot_.Sweep()) {
     if (!Active(i)) continue;
     channels_.DrainSessionInto(i, global_queue_);
     channels_.SetOverflow(i, Bandwidth::Zero());

@@ -69,6 +69,7 @@ class CombinedOnline final : public MultiSessionSystem {
 
   // Completed local stages (offline per-session-change lower bound).
   std::int64_t stages() const override { return completed_local_stages_; }
+  std::int64_t boundary_visits() const override { return hot_.visits(); }
   // Completed global stages (offline total-change lower bound).
   std::int64_t global_stages() const override {
     return completed_global_stages_;

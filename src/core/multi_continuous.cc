@@ -66,7 +66,7 @@ bool ContinuousMulti::Quiescent(std::int64_t i) const {
 
 void ContinuousMulti::Reset(Time now) {
   tracer_.Emit(TraceEventType::kStageStart, now, -1, completed_stages_);
-  for (const std::int64_t i : hot_.items()) {
+  for (const std::int64_t i : hot_.Sweep()) {
     if (!Active(i)) continue;
     channels_.SetRegular(i, shares_[static_cast<std::size_t>(i)]);
   }
@@ -92,7 +92,7 @@ void ContinuousMulti::Test(Time now, std::int64_t i) {
     // Stage end: shunt every nonempty regular queue (all in the hot set)
     // in ascending session order, then RESET.
     hot_.SortAscending();
-    for (const std::int64_t j : hot_.items()) {
+    for (const std::int64_t j : hot_.Sweep()) {
       ShuntToOverflow(now, j);
     }
     tracer_.Emit(TraceEventType::kStageCertified, now, -1, completed_stages_);

@@ -45,6 +45,7 @@ class ContinuousMulti final : public MultiSessionSystem {
   }
   const SessionChannels& channels() const override { return channels_; }
   std::int64_t stages() const override { return completed_stages_; }
+  std::int64_t boundary_visits() const override { return hot_.visits(); }
   Bandwidth DeclaredTotalBandwidth() const override {
     return Bandwidth::FromBitsPerSlot(5 * params_.offline_bandwidth);
   }

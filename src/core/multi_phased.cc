@@ -9,6 +9,7 @@ PhasedMulti::PhasedMulti(const MultiSessionParams& params,
     : params_(params),
       channels_(params.sessions, discipline),
       hot_(params.sessions),
+      parked_(params.sessions, HotSet::Init::kEmpty),
       active_(static_cast<std::size_t>(params.sessions), 1) {
   params_.Validate();
   shares_.reserve(static_cast<std::size_t>(params_.sessions));
@@ -53,6 +54,14 @@ Bits PhasedMulti::OnSessionDepart(Time /*now*/, std::int64_t session) {
 // shunt moves nothing and re-sizes the overflow rate from 0 to 0, and
 // RESET rewrites share with share. A loop over 0..k-1 therefore
 // degenerates to the loop over the sorted hot set, event for event.
+//
+// A parked session differs from a quiescent one only in its regular rate,
+// which is above its share. The overload test is still false (empty
+// regular queue), the overflow rewrites and the stage-end shunt still move
+// nothing, so only RESET's SetRegular(share) acts on it — and RESET walks
+// parked_ as well as the hot set. Its order among RESET's writes does not
+// matter: the engine scores the allocation-dirty sessions in ascending
+// order after the slot. An arrival puts the session back into the hot set.
 
 bool PhasedMulti::Quiescent(std::int64_t i) const {
   if (!Active(i)) return true;
@@ -63,12 +72,23 @@ bool PhasedMulti::Quiescent(std::int64_t i) const {
              shares_[static_cast<std::size_t>(i)].raw();
 }
 
+bool PhasedMulti::OnlyRateRaised(std::int64_t i) const {
+  return Active(i) && channels_.regular_queue_size(i) == 0 &&
+         channels_.overflow_queue_size(i) == 0 &&
+         channels_.overflow_bw(i).raw() == 0;
+}
+
 void PhasedMulti::Reset(Time now) {
   tracer_.Emit(TraceEventType::kStageStart, now, -1, completed_stages_);
-  for (const std::int64_t i : hot_.items()) {
+  for (const std::int64_t i : hot_.Sweep()) {
     if (!Active(i)) continue;
     channels_.SetRegular(i, shares_[static_cast<std::size_t>(i)]);
   }
+  for (const std::int64_t i : parked_.Sweep()) {
+    if (!Active(i)) continue;
+    channels_.SetRegular(i, shares_[static_cast<std::size_t>(i)]);
+  }
+  parked_.Clear();
   next_phase_ = now + params_.offline_delay;
 }
 
@@ -76,7 +96,7 @@ void PhasedMulti::PhaseBoundary(Time now) {
   const bool trace_shunts = tracer_.enabled(TraceEventType::kOverflowShunt);
   hot_.SortAscending();
   std::int64_t overloaded = 0;
-  for (const std::int64_t i : hot_.items()) {
+  for (const std::int64_t i : hot_.Sweep()) {
     if (!Active(i)) continue;
     if (!RegularOverloaded(i)) {
       // Lemma-8 invariant: the previous phase's overflow allocation was
@@ -101,7 +121,7 @@ void PhasedMulti::PhaseBoundary(Time now) {
   tracer_.Emit(TraceEventType::kPhaseBoundary, now, -1, overloaded);
   if (channels_.TotalRegular() > two_b_o_) {
     // Stage end: shunt everything to the overflow channel and RESET.
-    for (const std::int64_t i : hot_.items()) {
+    for (const std::int64_t i : hot_.Sweep()) {
       if (!Active(i)) continue;
       if (trace_shunts && channels_.regular_queue_size(i) > 0) {
         tracer_.Emit(TraceEventType::kOverflowShunt, now, i,
@@ -116,7 +136,12 @@ void PhasedMulti::PhaseBoundary(Time now) {
     ++completed_stages_;
     Reset(now);
   }
-  hot_.FilterInPlace([&](std::int64_t i) { return !Quiescent(i); });
+  hot_.FilterInPlace([&](std::int64_t i) {
+    if (Quiescent(i)) return false;
+    if (!OnlyRateRaised(i)) return true;
+    parked_.Add(i);
+    return false;
+  });
 }
 
 void PhasedMulti::StepSparse(Time now,

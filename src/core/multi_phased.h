@@ -36,9 +36,11 @@ class PhasedMulti final : public MultiSessionSystem {
       ServiceDiscipline discipline = ServiceDiscipline::kTwoChannel);
 
   // Only sessions in the hot set (arrivals since the last quiescence
-  // check, or carrying boosted/overflow allocation) are touched at phase
-  // boundaries; all others are provably no-ops for every Fig. 4 action
-  // (differentially tested against the full sweep).
+  // check, or carrying overflow allocation or queued bits) are touched at
+  // phase boundaries; all others are provably no-ops for every Fig. 4
+  // action (differentially tested against the full sweep). Sessions whose
+  // only pending action is RESET's rewrite of a raised regular rate are
+  // parked: RESET visits them, phase boundaries do not.
   void StepSparse(Time now,
                   std::span<const SessionArrival> arrivals) override;
   void PerturbEventWakeupsForTest() override { perturb_wakeups_ = 1; }
@@ -50,6 +52,14 @@ class PhasedMulti final : public MultiSessionSystem {
   std::int64_t stages() const override { return completed_stages_; }
   Bandwidth DeclaredTotalBandwidth() const override {
     return Bandwidth::FromBitsPerSlot(4 * params_.offline_bandwidth);
+  }
+  std::int64_t boundary_visits() const override {
+    return hot_.visits() + parked_.visits();
+  }
+  // True when session i waits in the parked list for the next RESET and
+  // is not also back in the hot set.
+  bool Parked(std::int64_t i) const {
+    return parked_.Contains(i) && !hot_.Contains(i);
   }
   void SetTracer(const Tracer& tracer) override { tracer_ = tracer; }
 
@@ -73,6 +83,7 @@ class PhasedMulti final : public MultiSessionSystem {
     w.I64(completed_stages_);
     w.Bool(started_);
     hot_.SaveState(w);
+    parked_.SaveState(w);
     for (const char a : active_) w.Bool(a != 0);
   }
 
@@ -83,6 +94,7 @@ class PhasedMulti final : public MultiSessionSystem {
     completed_stages_ = r.I64();
     started_ = r.Bool();
     hot_.LoadState(r);
+    parked_.LoadState(r);
     for (char& a : active_) a = r.Bool() ? 1 : 0;
   }
 
@@ -94,6 +106,12 @@ class PhasedMulti final : public MultiSessionSystem {
   // empty queues, no overflow allocation, regular allocation at its share
   // — or the session is not active (departed / never admitted).
   bool Quiescent(std::int64_t i) const;
+
+  // True when session i's only non-quiescence is a regular rate raised
+  // above its share: empty queues, zero overflow allocation. Until the
+  // next RESET every phase-boundary action is a no-op for it, so the
+  // boundary filter moves it from the hot set to parked_.
+  bool OnlyRateRaised(std::int64_t i) const;
 
   bool Active(std::int64_t i) const {
     return active_[static_cast<std::size_t>(i)] != 0;
@@ -111,6 +129,11 @@ class PhasedMulti final : public MultiSessionSystem {
   bool started_ = false;
   Tracer tracer_;          // disabled unless SetTracer was called
   HotSet hot_;             // candidate non-quiescent sessions
+  // Sessions whose raised regular rate waits for RESET, the only action
+  // that visits this set. It may also list sessions that have since gone
+  // back into hot_ (an arrival) or departed; RESET's rewrite is idempotent
+  // and skips inactive sessions, so such entries are harmless.
+  HotSet parked_;
   std::vector<char> active_;   // churn mask; all 1 for fixed populations
   Time perturb_wakeups_ = 0;   // test hook: delays phase boundaries
 };

@@ -70,6 +70,9 @@ class RobustMultiSessionAdapter final : public MultiSessionSystem {
   const SessionChannels& channels() const override { return channels_; }
 
   std::int64_t stages() const override { return inner_->stages(); }
+  std::int64_t boundary_visits() const override {
+    return inner_->boundary_visits();
+  }
   std::int64_t global_stages() const override {
     return inner_->global_stages();
   }

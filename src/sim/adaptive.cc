@@ -127,10 +127,8 @@ MultiAdaptiveRunResult RunAdaptiveMultiSession(
   result.run.total_delivered =
       ch.total_delivered() + system.ExtraDeliveredBits();
   result.run.final_queue = ch.TotalQueued() + system.ExtraQueuedBits();
-  result.run.per_session_delay = ch.all_delays();
-  for (const DelayHistogram& h : result.run.per_session_delay) {
-    result.run.delay.Merge(h);
-  }
+  result.run.per_session_delay = ch.SessionDelays();
+  result.run.delay = ch.delay();
   if (const DelayHistogram* extra = system.ExtraDelayHistogram()) {
     result.run.delay.Merge(*extra);
   }

@@ -64,9 +64,10 @@ class BitQueue {
 
   // Remove up to `max_bits` from the head (no service credits involved),
   // recording the delay (now - arrival) of each delivered bit into `hist`
-  // (if non-null). Returns bits removed. Used directly by FIFO-combined
-  // service across a session's two conceptual channels.
-  Bits Take(Time now, Bits max_bits, DelayHistogram* hist) {
+  // and `summary` (each if non-null). Returns bits removed. Used directly
+  // by FIFO-combined service across a session's two conceptual channels.
+  Bits Take(Time now, Bits max_bits, DelayHistogram* hist,
+            DelaySummary* summary = nullptr) {
     BW_REQUIRE(max_bits >= 0, "BitQueue::Take: negative amount");
     Bits remaining = max_bits;
     Bits served = 0;
@@ -74,6 +75,7 @@ class BitQueue {
       Chunk& head = chunks_[head_];
       const Bits take = head.bits < remaining ? head.bits : remaining;
       if (hist != nullptr) hist->Record(now - head.arrival, take);
+      if (summary != nullptr) summary->Record(now - head.arrival, take);
       head.bits -= take;
       remaining -= take;
       served += take;
@@ -84,12 +86,14 @@ class BitQueue {
   }
 
   // Serve one slot at rate `bw`, recording the delay (now - arrival) of each
-  // delivered bit into `hist` (if non-null). Returns bits delivered.
-  Bits ServeSlot(Time now, Bandwidth bw, DelayHistogram* hist) {
+  // delivered bit into `hist` and `summary` (each if non-null). Returns bits
+  // delivered.
+  Bits ServeSlot(Time now, Bandwidth bw, DelayHistogram* hist,
+                 DelaySummary* summary = nullptr) {
     BW_REQUIRE(bw.raw() >= 0, "BitQueue::ServeSlot: negative bandwidth");
     credit_raw_ += bw.raw();
     const Bits deliverable = credit_raw_ >> Bandwidth::kShift;
-    const Bits served = Take(now, deliverable, hist);
+    const Bits served = Take(now, deliverable, hist, summary);
     credit_raw_ -= served << Bandwidth::kShift;
     if (head_ == chunks_.size()) credit_raw_ = 0;  // no banking while idle
     return served;

@@ -61,6 +61,8 @@ void SaveEngineState(StateWriter& w, const UtilizationMeter& util,
   w.I64(result.local_changes);
   w.I64(stats.touched_session_slots);
   w.I64(stats.arrival_events);
+  w.I64(stats.session_serves);
+  w.I64(stats.boundary_visits);
 }
 
 void LoadEngineState(StateReader& r, UtilizationMeter& util,
@@ -87,6 +89,8 @@ void LoadEngineState(StateReader& r, UtilizationMeter& util,
   result.local_changes = r.I64();
   stats.touched_session_slots = r.I64();
   stats.arrival_events = r.I64();
+  stats.session_serves = r.I64();
+  stats.boundary_visits = r.I64();
 }
 
 // Full-sweep mode only: the incremental aggregates against a recount over
@@ -286,7 +290,11 @@ MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
       for (const SessionArrival& a : slot) slot_in += a.bits;
       stats.arrival_events += static_cast<std::int64_t>(slot.size());
 
+      const std::int64_t serves_before = ch.session_serves();
+      const std::int64_t visits_before = system.boundary_visits();
       system.StepSparse(t, slot);
+      stats.session_serves += ch.session_serves() - serves_before;
+      stats.boundary_visits += system.boundary_visits() - visits_before;
       if (full_sweep) CheckSlotInvariants(ch, system);
 
       ch.DrainAllocDirty(&dirty);
@@ -400,10 +408,8 @@ MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
   result.total_arrivals = ch.total_arrivals();
   result.total_delivered = ch.total_delivered() + system.ExtraDeliveredBits();
   result.final_queue = ch.TotalQueued() + system.ExtraQueuedBits();
-  result.per_session_delay = ch.all_delays();
-  for (const DelayHistogram& h : result.per_session_delay) {
-    result.delay.Merge(h);
-  }
+  result.per_session_delay = ch.SessionDelays();
+  result.delay = ch.delay();
   if (const DelayHistogram* extra = system.ExtraDelayHistogram()) {
     result.delay.Merge(*extra);
   }

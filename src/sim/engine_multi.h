@@ -107,6 +107,11 @@ class MultiSessionSystem {
   // on the nondeterministic lane: it must never change behaviour.
   virtual void SetTelemetry(telemetry::RuntimeShard* /*shard*/) {}
 
+  // Work counter: entries the system's phase-boundary, stage-end and RESET
+  // loops have walked so far (HotSet::Sweep). Informational and not
+  // checkpointed; the engine turns it into EventEngineStats deltas.
+  virtual std::int64_t boundary_visits() const { return 0; }
+
   // Every system steps sparsely; always true. Decorators forward it.
   virtual bool SupportsSparseStep() const { return true; }
 
@@ -164,13 +169,19 @@ class MultiSessionSystem {
   std::vector<SessionArrival> dense_step_arrivals_;  // reused by Step
 };
 
-// Counters the engine reports about its own sparsity; purely informational
-// (never part of MultiRunResult, so results stay comparable between pruned
-// and full-sweep runs). `touched_session_slots` is the denominator for the
-// ns/slot-per-active-session bench metric.
+// Work counters the engine reports about its own sparsity; purely
+// informational (never part of MultiRunResult, so results stay comparable
+// between pruned and full-sweep runs). They depend only on the input, so
+// they are the same on every machine, and they ride in the engine
+// checkpoint: a resumed run reports what a straight run would.
 struct EventEngineStats {
   std::int64_t touched_session_slots = 0;  // dirty-session visits, all slots
   std::int64_t arrival_events = 0;         // sparse arrival records fed
+  // Sessions served: the entries of every SessionChannels serve pass.
+  std::int64_t session_serves = 0;
+  // Candidate-set entries walked at phase boundaries, stage ends and RESETs
+  // (MultiSessionSystem::boundary_visits).
+  std::int64_t boundary_visits = 0;
 };
 
 struct MultiEngineOptions {

@@ -5,14 +5,18 @@
 // allocation, or a regular allocation not yet at its share). Stage
 // boundaries iterate this set instead of all k sessions; sessions outside
 // it are provably no-ops for every boundary action, so skipping them is
-// exact, not approximate. The set starts full, ascending: before the first
-// RESET no session holds its share yet.
+// exact, not approximate. The set starts full, ascending, since before the
+// first RESET no session holds its share yet; Init::kEmpty builds an empty
+// set instead.
 //
 // Add() is O(1) amortized with O(1) duplicate suppression (a flag per
 // session). Boundary processing calls SortAscending() first — trace bytes
 // must come out in session order, as a loop over 0..k-1 would emit them —
 // then FilterInPlace() to drop sessions the caller has verified quiescent.
 // PinAll() (the full-sweep test hook) makes the set every session for good.
+// Loops that walk the set at phase boundaries, stage ends and RESETs go
+// through Sweep(), which counts the entries it hands out: the
+// deterministic work counter behind EventEngineStats::boundary_visits.
 #pragma once
 
 #include <algorithm>
@@ -27,9 +31,11 @@ namespace bwalloc {
 
 class HotSet {
  public:
-  explicit HotSet(std::int64_t sessions)
+  enum class Init { kFull, kEmpty };
+
+  explicit HotSet(std::int64_t sessions, Init init = Init::kFull)
       : member_(static_cast<std::size_t>(sessions)) {
-    Fill();
+    if (init == Init::kFull) Fill();
   }
 
   // Makes the set every session, ascending. O(k).
@@ -76,7 +82,13 @@ class HotSet {
     items_.resize(w);
   }
 
-  const std::vector<std::int64_t>& items() const { return items_; }
+  // The items in their current order, counted into visits(). The count is
+  // observer metadata: it is not checkpointed.
+  const std::vector<std::int64_t>& Sweep() {
+    visits_ += static_cast<std::int64_t>(items_.size());
+    return items_;
+  }
+  std::int64_t visits() const { return visits_; }
   std::int64_t size() const { return static_cast<std::int64_t>(items_.size()); }
   bool empty() const { return items_.empty(); }
 
@@ -115,6 +127,7 @@ class HotSet {
   std::vector<char> member_;
   std::vector<std::int64_t> items_;
   bool pinned_ = false;
+  std::int64_t visits_ = 0;
 };
 
 }  // namespace bwalloc

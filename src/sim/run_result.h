@@ -99,7 +99,7 @@ struct MultiRunResult {
   Bits final_queue = 0;
 
   DelayHistogram delay;                  // aggregate over all sessions
-  std::vector<DelayHistogram> per_session_delay;
+  std::vector<DelaySummary> per_session_delay;  // total, mean, max each
   std::int64_t local_changes = 0;        // per-session allocation transitions
   std::int64_t global_changes = 0;       // total-bandwidth transitions
   std::int64_t stages = 0;               // RESET count (offline lower bound)

@@ -8,6 +8,13 @@
 // FIFO-combined (the Remark after Theorem 14: serve the overflow queue —
 // whose bits are always older — first, at the session's total rate).
 //
+// Each session's state (both queues, both rates, the FIFO credit, its delay
+// summary and its active-list flag) is one record in one vector, so serving
+// a session touches one contiguous block. Delays go two ways: every
+// delivered bit is recorded into one aggregate DelayHistogram (the run's
+// distribution) and into its session's DelaySummary (total, mean and max:
+// all a result reads per session).
+//
 // The aggregate views (TotalRegular/TotalOverflow/TotalQueued) are
 // maintained incrementally as exact integer sums, so the engine reads them
 // in O(1); integer addition is order-independent, so the incremental values
@@ -49,13 +56,7 @@ class SessionChannels {
       : discipline_(discipline),
         sessions_(static_cast<std::size_t>(sessions)) {
     BW_REQUIRE(sessions >= 1, "SessionChannels: need at least one session");
-    regular_queue_.resize(sessions_);
-    overflow_queue_.resize(sessions_);
-    regular_bw_.resize(sessions_);
-    overflow_bw_.resize(sessions_);
-    fifo_credit_raw_.resize(sessions_, 0);
-    delay_.resize(sessions_);
-    in_active_.resize(sessions_, 0);
+    session_.resize(sessions_);
   }
 
   std::int64_t sessions() const {
@@ -64,26 +65,26 @@ class SessionChannels {
 
   // --- arrivals -------------------------------------------------------------
   void Enqueue(std::int64_t i, Time now, Bits bits) {
-    const std::size_t idx = Idx(i);
-    const Bits admitted = regular_queue_[idx].Enqueue(now, bits);
+    Session& s = session_[Idx(i)];
+    const Bits admitted = s.regular.Enqueue(now, bits);
     total_arrivals_ += bits;
     total_queued_ += admitted;
-    if (admitted > 0 && in_active_[idx] == 0) {
-      in_active_[idx] = 1;
+    if (admitted > 0 && !s.in_active) {
+      s.in_active = true;
       active_.push_back(i);
     }
   }
 
   // --- allocation -----------------------------------------------------------
   void SetRegular(std::int64_t i, Bandwidth bw) {
-    Bandwidth& cur = regular_bw_[Idx(i)];
+    Bandwidth& cur = session_[Idx(i)].regular_bw;
     if (cur.raw() == bw.raw()) return;
     total_regular_raw_ += bw.raw() - cur.raw();
     MarkAllocDirty(i);
     cur = bw;
   }
   void SetOverflow(std::int64_t i, Bandwidth bw) {
-    Bandwidth& cur = overflow_bw_[Idx(i)];
+    Bandwidth& cur = session_[Idx(i)].overflow_bw;
     if (cur.raw() == bw.raw()) return;
     total_overflow_raw_ += bw.raw() - cur.raw();
     MarkAllocDirty(i);
@@ -91,15 +92,19 @@ class SessionChannels {
   }
   void AddOverflow(std::int64_t i, Bandwidth delta) {
     if (delta.raw() == 0) return;
-    Bandwidth& cur = overflow_bw_[Idx(i)];
+    Bandwidth& cur = session_[Idx(i)].overflow_bw;
     cur += delta;
     BW_CHECK(cur.raw() >= 0, "overflow bandwidth went negative");
     total_overflow_raw_ += delta.raw();
     MarkAllocDirty(i);
   }
 
-  Bandwidth regular_bw(std::int64_t i) const { return regular_bw_[Idx(i)]; }
-  Bandwidth overflow_bw(std::int64_t i) const { return overflow_bw_[Idx(i)]; }
+  Bandwidth regular_bw(std::int64_t i) const {
+    return session_[Idx(i)].regular_bw;
+  }
+  Bandwidth overflow_bw(std::int64_t i) const {
+    return session_[Idx(i)].overflow_bw;
+  }
   Bandwidth TotalRegular() const {
     return Bandwidth::FromRaw(total_regular_raw_);
   }
@@ -109,27 +114,28 @@ class SessionChannels {
 
   // --- queues ---------------------------------------------------------------
   Bits regular_queue_size(std::int64_t i) const {
-    return regular_queue_[Idx(i)].size();
+    return session_[Idx(i)].regular.size();
   }
   Bits overflow_queue_size(std::int64_t i) const {
-    return overflow_queue_[Idx(i)].size();
+    return session_[Idx(i)].overflow.size();
   }
   Bits TotalQueued() const { return total_queued_; }
 
   // Fig. 4 / Fig. 5: "move the content of Q_r to Q_o". Queued totals and
   // the active list are unchanged: the bits stay within the session.
   void MoveRegularToOverflow(std::int64_t i) {
-    regular_queue_[Idx(i)].DrainInto(overflow_queue_[Idx(i)]);
+    Session& s = session_[Idx(i)];
+    s.regular.DrainInto(s.overflow);
   }
 
   // GLOBAL RESET of the combined algorithm: drain every queue of session i
   // into an external queue. The session goes quiescent; its active-list
   // entry (if any) is reaped lazily by the next ServeActiveSlot.
   void DrainSessionInto(std::int64_t i, BitQueue& dst) {
-    const std::size_t idx = Idx(i);
-    total_queued_ -= overflow_queue_[idx].size() + regular_queue_[idx].size();
-    overflow_queue_[idx].DrainInto(dst);
-    regular_queue_[idx].DrainInto(dst);
+    Session& s = session_[Idx(i)];
+    total_queued_ -= s.overflow.size() + s.regular.size();
+    s.overflow.DrainInto(dst);
+    s.regular.DrainInto(dst);
   }
 
   // Mid-run departure: discard everything session i still has queued and
@@ -140,17 +146,16 @@ class SessionChannels {
   // transitions must flow through SetRegular/SetOverflow so the trace
   // shadows see them).
   Bits DropSession(std::int64_t i) {
-    const std::size_t idx = Idx(i);
-    const Bits dropped =
-        regular_queue_[idx].size() + overflow_queue_[idx].size();
+    Session& s = session_[Idx(i)];
+    const Bits dropped = s.regular.size() + s.overflow.size();
     if (dropped > 0) {
       BitQueue scratch;
-      regular_queue_[idx].DrainInto(scratch);
-      overflow_queue_[idx].DrainInto(scratch);
+      s.regular.DrainInto(scratch);
+      s.overflow.DrainInto(scratch);
       total_queued_ -= dropped;
       total_dropped_ += dropped;
     }
-    fifo_credit_raw_[idx] = 0;
+    s.fifo_credit_raw = 0;
     return dropped;
   }
 
@@ -160,9 +165,8 @@ class SessionChannels {
   // Serve all sessions for slot `now`. Returns total bits delivered.
   Bits ServeSlot(Time now) {
     Bits served = 0;
-    for (std::size_t i = 0; i < sessions_; ++i) {
-      served += ServeSession(i, now);
-    }
+    for (Session& s : session_) served += ServeSession(s, now);
+    session_serves_ += static_cast<std::int64_t>(sessions_);
     CompactActive();
     total_delivered_ += served;
     total_queued_ -= served;
@@ -179,14 +183,15 @@ class SessionChannels {
     std::size_t w = 0;
     for (std::size_t r = 0; r < active_.size(); ++r) {
       const std::int64_t i = active_[r];
-      const std::size_t idx = static_cast<std::size_t>(i);
-      served += ServeSession(idx, now);
-      if (regular_queue_[idx].empty() && overflow_queue_[idx].empty()) {
-        in_active_[idx] = 0;
+      Session& s = session_[static_cast<std::size_t>(i)];
+      served += ServeSession(s, now);
+      if (s.regular.empty() && s.overflow.empty()) {
+        s.in_active = false;
       } else {
         active_[w++] = i;
       }
     }
+    session_serves_ += static_cast<std::int64_t>(active_.size());
     active_.resize(w);
     total_delivered_ += served;
     total_queued_ -= served;
@@ -222,16 +227,20 @@ class SessionChannels {
   void EnableFullSweepForTest() { full_sweep_ = true; }
   bool full_sweep() const { return full_sweep_; }
 
-  // Recounts TotalRegular/TotalOverflow/TotalQueued over all sessions and
-  // aborts on any mismatch with the incremental values.
+  // Recounts TotalRegular/TotalOverflow/TotalQueued and the delivered bits
+  // over all sessions and aborts on any mismatch with the incremental
+  // values: the aggregate delay histogram, the per-session summaries and
+  // the delivered counter must all hold the same number of bits.
   void CheckTotalsAgainstRecount() const {
     std::int64_t regular_raw = 0;
     std::int64_t overflow_raw = 0;
     Bits queued = 0;
-    for (std::size_t i = 0; i < sessions_; ++i) {
-      regular_raw += regular_bw_[i].raw();
-      overflow_raw += overflow_bw_[i].raw();
-      queued += regular_queue_[i].size() + overflow_queue_[i].size();
+    Bits summarized = 0;
+    for (const Session& s : session_) {
+      regular_raw += s.regular_bw.raw();
+      overflow_raw += s.overflow_bw.raw();
+      queued += s.regular.size() + s.overflow.size();
+      summarized += s.delay.total_bits();
     }
     BW_CHECK(regular_raw == total_regular_raw_,
              "TotalRegular differs from a recount over all sessions");
@@ -239,30 +248,47 @@ class SessionChannels {
              "TotalOverflow differs from a recount over all sessions");
     BW_CHECK(queued == total_queued_,
              "TotalQueued differs from a recount over all sessions");
+    BW_CHECK(summarized == total_delivered_,
+             "per-session delay summaries differ from the delivered bits");
+    BW_CHECK(delay_.total_bits() == total_delivered_,
+             "aggregate delay histogram differs from the delivered bits");
   }
 
   // --- measurement ------------------------------------------------------------
-  const DelayHistogram& session_delay(std::int64_t i) const {
-    return delay_[Idx(i)];
+  // Delays of every bit delivered by any session.
+  const DelayHistogram& delay() const { return delay_; }
+  const DelaySummary& session_delay(std::int64_t i) const {
+    return session_[Idx(i)].delay;
   }
-  const std::vector<DelayHistogram>& all_delays() const { return delay_; }
+  // Copies of every session's summary, in session order. O(k).
+  std::vector<DelaySummary> SessionDelays() const {
+    std::vector<DelaySummary> out;
+    out.reserve(sessions_);
+    for (const Session& s : session_) out.push_back(s.delay);
+    return out;
+  }
   Bits total_arrivals() const { return total_arrivals_; }
   Bits total_delivered() const { return total_delivered_; }
 
+  // Work counter: sessions served so far (each session a serve pass
+  // visited, per slot). Observer metadata: not checkpointed.
+  std::int64_t session_serves() const { return session_serves_; }
+
   // Checkpoints are captured at slot boundaries, where the dirty tracker is
-  // always drained — so only the durable state travels; in_active_ is
-  // rebuilt from active_ (they are two views of one set).
+  // always drained — so only the durable state travels; the in_active
+  // flags are rebuilt from active_ (they are two views of one set).
   void SaveState(StateWriter& w) const {
     w.Tag("SCH1");
     w.U64(sessions_);
-    for (std::size_t i = 0; i < sessions_; ++i) {
-      regular_queue_[i].SaveState(w);
-      overflow_queue_[i].SaveState(w);
-      w.I64(regular_bw_[i].raw());
-      w.I64(overflow_bw_[i].raw());
-      w.I64(fifo_credit_raw_[i]);
-      delay_[i].SaveState(w);
+    for (const Session& s : session_) {
+      s.regular.SaveState(w);
+      s.overflow.SaveState(w);
+      w.I64(s.regular_bw.raw());
+      w.I64(s.overflow_bw.raw());
+      w.I64(s.fifo_credit_raw);
+      s.delay.SaveState(w);
     }
+    delay_.SaveState(w);
     w.I64(total_arrivals_);
     w.I64(total_delivered_);
     w.I64(total_dropped_);
@@ -279,14 +305,16 @@ class SessionChannels {
     if (n != sessions_) {
       throw StateFormatError("session count mismatch in checkpoint");
     }
-    for (std::size_t i = 0; i < sessions_; ++i) {
-      regular_queue_[i].LoadState(r);
-      overflow_queue_[i].LoadState(r);
-      regular_bw_[i] = Bandwidth::FromRaw(r.I64());
-      overflow_bw_[i] = Bandwidth::FromRaw(r.I64());
-      fifo_credit_raw_[i] = r.I64();
-      delay_[i].LoadState(r);
+    for (Session& s : session_) {
+      s.regular.LoadState(r);
+      s.overflow.LoadState(r);
+      s.regular_bw = Bandwidth::FromRaw(r.I64());
+      s.overflow_bw = Bandwidth::FromRaw(r.I64());
+      s.fifo_credit_raw = r.I64();
+      s.delay.LoadState(r);
+      s.in_active = false;
     }
+    delay_.LoadState(r);
     total_arrivals_ = r.I64();
     total_delivered_ = r.I64();
     total_dropped_ = r.I64();
@@ -294,17 +322,28 @@ class SessionChannels {
     total_overflow_raw_ = r.I64();
     total_queued_ = r.I64();
     active_.resize(r.Count(sessions_));
-    in_active_.assign(sessions_, 0);
     for (std::int64_t& i : active_) {
       i = r.I64();
       if (i < 0 || static_cast<std::size_t>(i) >= sessions_) {
         throw StateFormatError("active session index out of range");
       }
-      in_active_[static_cast<std::size_t>(i)] = 1;
+      session_[static_cast<std::size_t>(i)].in_active = true;
     }
   }
 
  private:
+  // One session's whole state. The flag sits before the 16-byte-aligned
+  // summary, in padding, rather than after it.
+  struct Session {
+    BitQueue regular;
+    BitQueue overflow;
+    Bandwidth regular_bw;
+    Bandwidth overflow_bw;
+    std::int64_t fifo_credit_raw = 0;
+    bool in_active = false;  // listed in active_
+    DelaySummary delay;
+  };
+
   std::size_t Idx(std::int64_t i) const {
     BW_CHECK(i >= 0 && static_cast<std::size_t>(i) < sessions_,
              "session index out of range");
@@ -324,9 +363,9 @@ class SessionChannels {
   void CompactActive() {
     std::size_t w = 0;
     for (std::size_t r = 0; r < active_.size(); ++r) {
-      const std::size_t idx = static_cast<std::size_t>(active_[r]);
-      if (regular_queue_[idx].empty() && overflow_queue_[idx].empty()) {
-        in_active_[idx] = 0;
+      Session& s = session_[static_cast<std::size_t>(active_[r])];
+      if (s.regular.empty() && s.overflow.empty()) {
+        s.in_active = false;
       } else {
         active_[w++] = active_[r];
       }
@@ -334,34 +373,29 @@ class SessionChannels {
     active_.resize(w);
   }
 
-  Bits ServeSession(std::size_t i, Time now) {
-    DelayHistogram* hist = &delay_[i];
+  Bits ServeSession(Session& s, Time now) {
+    DelayHistogram* hist = &delay_;
+    DelaySummary* summary = &s.delay;
     if (discipline_ == ServiceDiscipline::kTwoChannel) {
-      Bits served = overflow_queue_[i].ServeSlot(now, overflow_bw_[i], hist);
-      served += regular_queue_[i].ServeSlot(now, regular_bw_[i], hist);
+      Bits served = s.overflow.ServeSlot(now, s.overflow_bw, hist, summary);
+      served += s.regular.ServeSlot(now, s.regular_bw, hist, summary);
       return served;
     }
     // FIFO-combined: overflow bits are always older than regular bits (every
     // move empties the regular queue), so overflow-first is arrival order.
-    fifo_credit_raw_[i] += (regular_bw_[i] + overflow_bw_[i]).raw();
-    Bits deliverable = fifo_credit_raw_[i] >> Bandwidth::kShift;
-    Bits served = overflow_queue_[i].Take(now, deliverable, hist);
-    served += regular_queue_[i].Take(now, deliverable - served, hist);
-    fifo_credit_raw_[i] -= served << Bandwidth::kShift;
-    if (overflow_queue_[i].empty() && regular_queue_[i].empty()) {
-      fifo_credit_raw_[i] = 0;
-    }
+    s.fifo_credit_raw += (s.regular_bw + s.overflow_bw).raw();
+    Bits deliverable = s.fifo_credit_raw >> Bandwidth::kShift;
+    Bits served = s.overflow.Take(now, deliverable, hist, summary);
+    served += s.regular.Take(now, deliverable - served, hist, summary);
+    s.fifo_credit_raw -= served << Bandwidth::kShift;
+    if (s.overflow.empty() && s.regular.empty()) s.fifo_credit_raw = 0;
     return served;
   }
 
   ServiceDiscipline discipline_;
   std::size_t sessions_;
-  std::vector<BitQueue> regular_queue_;
-  std::vector<BitQueue> overflow_queue_;
-  std::vector<Bandwidth> regular_bw_;
-  std::vector<Bandwidth> overflow_bw_;
-  std::vector<std::int64_t> fifo_credit_raw_;
-  std::vector<DelayHistogram> delay_;
+  std::vector<Session> session_;
+  DelayHistogram delay_;  // every delivered bit, all sessions
   Bits total_arrivals_ = 0;
   Bits total_delivered_ = 0;
   Bits total_dropped_ = 0;
@@ -369,7 +403,7 @@ class SessionChannels {
   std::int64_t total_overflow_raw_ = 0;
   Bits total_queued_ = 0;
   std::vector<std::int64_t> active_;
-  std::vector<char> in_active_;
+  std::int64_t session_serves_ = 0;
   bool full_sweep_ = false;
   mutable bool track_alloc_dirty_ = false;
   mutable std::vector<char> alloc_dirty_flag_;

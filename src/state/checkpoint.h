@@ -58,7 +58,7 @@ class CrashInjected : public std::runtime_error {
 
 inline constexpr std::string_view kCheckpointMagic = "BWCKPT1\n";
 // Bumped whenever a payload layout changes; other versions are refused.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 // CheckpointMeta::kind of each engine's checkpoints. A resume refuses any
 // other kind.

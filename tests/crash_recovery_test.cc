@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -63,6 +64,7 @@
 #include "state/checkpoint.h"
 #include "state/serializer.h"
 #include "traffic/arrivals.h"
+#include "traffic/sparse_bursts.h"
 #include "traffic/workload_suite.h"
 #include "util/fixed_point.h"
 #include "util/types.h"
@@ -174,6 +176,9 @@ struct MultiSpec {
   Sweep sweep = Sweep::kPruned;
   Time every = 64;
   Time crash_at = 257;
+  // Heavy-tail sparse bursts (engine_equivalence_test's burst grid shape)
+  // instead of the dense workload `kind`.
+  bool bursts = false;
 
   // Session churn: the workload comes from a generated ChurnPlan and the
   // run goes through an AdmissionController + ChurnDriver whose state
@@ -189,6 +194,7 @@ struct MultiSpec {
                     "/seed=" + std::to_string(seed) +
                     (sweep == Sweep::kFull ? "/full-sweep" : "/pruned") +
                     "/crash=" + std::to_string(crash_at);
+    if (bursts) s += "/bursts";
     if (hops > 0) s += "/hops=" + std::to_string(hops);
     if (churned) {
       s += std::string("/churn=") + ToString(arrivals) + "+" +
@@ -211,6 +217,26 @@ struct ChurnState {
 // policy + driver into `churn`.
 std::vector<std::vector<Bits>> MultiTraces(MultiSpec& spec,
                                            ChurnState& churn) {
+  if (spec.bursts) {
+    SparseBurstParams bp;
+    bp.sessions = spec.k;
+    bp.horizon = spec.horizon;
+    bp.bursts_per_slot = static_cast<double>(spec.k) / 256.0;
+    bp.burst_scale = 32;
+    bp.tail_cap = 6;
+    bp.seed = spec.seed;
+    const SparseMultiTrace sparse = SparseBurstTrace(bp);
+    std::vector<std::vector<Bits>> traces(
+        static_cast<std::size_t>(spec.k),
+        std::vector<Bits>(static_cast<std::size_t>(spec.horizon), 0));
+    for (Time t = 0; t < spec.horizon; ++t) {
+      for (const SessionArrival& a : sparse.Slot(t)) {
+        traces[static_cast<std::size_t>(a.session)]
+              [static_cast<std::size_t>(t)] = a.bits;
+      }
+    }
+    return traces;
+  }
   if (!spec.churned) {
     return MultiSessionWorkload(spec.kind, spec.k, spec.bo, spec.d_o,
                                 spec.horizon, spec.seed);
@@ -403,6 +429,50 @@ std::string CompareMulti(const MultiSpec& spec) {
   reference.sweep = Sweep::kFull;
   return CompareArtifacts(spec.Label(), StraightMulti(reference),
                           CrashAndResumeMulti(spec));
+}
+
+// What a bare phased control model does around a resume point: stepped
+// through the spec's traces as the engine steps it (no churn), it reports
+// the stage count and whether some session parked when the checkpoint at
+// `resume_slot` is captured stays parked, with no arrival in between,
+// until a later RESET. Such a session's raised rate is reset only if the
+// checkpoint carried the parked list.
+struct ParkProbe {
+  std::int64_t stages = 0;
+  bool parked_across_checkpoint = false;
+};
+
+ParkProbe ProbeParkedAcrossCheckpoint(const MultiSpec& spec_in,
+                                      Time resume_slot) {
+  MultiSpec spec = spec_in;
+  ChurnState churn;
+  const SparseMultiTrace sparse =
+      SparseMultiTrace::FromDense(MultiTraces(spec, churn));
+  MultiSessionParams p;
+  p.sessions = spec.k;
+  p.offline_bandwidth = spec.bo;
+  p.offline_delay = spec.d_o;
+  PhasedMulti sys(p);
+  ParkProbe probe;
+  std::vector<std::int64_t> parked;
+  const Time end = spec.horizon + BaseMultiOptions(spec).drain_slots;
+  for (Time t = 0; t < end; ++t) {
+    if (t == resume_slot) {
+      for (std::int64_t i = 0; i < spec.k; ++i) {
+        if (sys.Parked(i)) parked.push_back(i);
+      }
+    }
+    std::erase_if(parked, [&](std::int64_t i) { return !sys.Parked(i); });
+    const std::int64_t stages_before = sys.stages();
+    sys.StepSparse(t, t < spec.horizon ? sparse.Slot(t)
+                                       : std::span<const SessionArrival>());
+    if (sys.stages() > stages_before) {
+      if (!parked.empty()) probe.parked_across_checkpoint = true;
+      parked.clear();  // RESET rewrote them
+    }
+  }
+  probe.stages = sys.stages();
+  return probe;
 }
 
 // ---------------------------------------------------------------------------
@@ -643,6 +713,43 @@ TEST(CrashRecovery, CrashPositionsAreByteIdentical) {
       },
       sweep);
   EXPECT_TRUE(r.ok()) << r.Summary();
+}
+
+// Phased sessions parked out of the phase-boundary sweeps (rate raised,
+// nothing queued) wait for the next RESET in a list the checkpoint must
+// carry. Here the checkpoint lands while sessions are parked and before
+// the RESET that rewrites them; the probe proves that, and the resumed
+// runs (pruned and full-sweep, fault-free and behind a lossy path) must
+// equal the straight full sweep.
+TEST(CrashRecovery, ParkedSessionsSurviveRestore) {
+  MultiSpec base;
+  base.bursts = true;
+  base.k = 64;
+  base.bo = 2 * base.k;  // two bits/slot per session: bursts overload
+  base.d_o = 16;
+  base.horizon = 1200;
+  base.every = 100;
+  base.crash_at = 431;
+  const Time resume_slot = (base.crash_at + 1) / base.every * base.every;
+  const ParkProbe probe = ProbeParkedAcrossCheckpoint(base, resume_slot);
+  ASSERT_GE(probe.stages, 1);
+  ASSERT_TRUE(probe.parked_across_checkpoint)
+      << "no session stays parked from the checkpoint at slot "
+      << resume_slot << " to a RESET: this cell no longer tests the list";
+  for (const Sweep sweep : {Sweep::kPruned, Sweep::kFull}) {
+    for (const std::int64_t hops : {0, 2}) {
+      MultiSpec spec = base;
+      spec.sweep = sweep;
+      if (hops > 0) {
+        spec.hops = hops;
+        spec.plan.loss_rate = 0.05;
+        spec.plan.denial_rate = 0.1;
+        spec.plan.max_jitter = 1;
+        spec.plan.seed = 0x9A4CULL;
+      }
+      EXPECT_EQ(CompareMulti(spec), "");
+    }
+  }
 }
 
 // Single-session algorithm: workloads x fault lanes x crash positions.

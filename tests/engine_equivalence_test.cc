@@ -43,6 +43,7 @@
 #include "runner/parallel_sweep.h"
 #include "sim/churn.h"
 #include "sim/engine_multi.h"
+#include "state/checkpoint.h"
 #include "traffic/arrivals.h"
 #include "traffic/sparse_bursts.h"
 #include "traffic/workload_suite.h"
@@ -371,6 +372,70 @@ TEST(EngineEquivalence, SparseBurstGridIsByteIdentical) {
   EXPECT_TRUE(r.ok()) << r.Summary();
 }
 
+// Phased sessions whose only pending action is RESET's rewrite of a raised
+// rate are parked out of the phase-boundary sweeps; RESET alone visits
+// them. A probe run of the bare algorithm proves each cell has a RESET
+// that finds sessions parked (no arrival since they were parked), and the
+// pruned run must still match the full sweep, fault-free and faulted.
+TEST(EngineEquivalence, ParkedSessionGridIsByteIdentical) {
+  const std::vector<std::int64_t> ks = {64, 256};
+  const std::int64_t count = static_cast<std::int64_t>(ks.size() * 2 * 2);
+  SweepOptions sweep;
+  sweep.jobs = 4;
+  const SweepResult r = ParallelSweep(
+      "engine-eq-parked", count,
+      [&](const TaskContext& ctx) {
+        std::int64_t idx = ctx.key.index;
+        RunSpec spec;
+        spec.k = ks[static_cast<std::size_t>(idx) % ks.size()];
+        idx /= static_cast<std::int64_t>(ks.size());
+        spec.seed = static_cast<std::uint64_t>(idx % 2 + 11);
+        idx /= 2;
+        spec.bursts = true;
+        spec.bo = 2 * spec.k;
+        spec.d_o = 16;
+        spec.horizon = 1200;
+        if (idx % 2 == 1) {
+          spec.hops = 2;
+          spec.plan.loss_rate = 0.05;
+          spec.plan.denial_rate = 0.1;
+          spec.plan.max_jitter = 1;
+          spec.plan.seed = 0x9A4CULL + spec.seed;
+        }
+
+        SparseBurstParams bp;
+        bp.sessions = spec.k;
+        bp.horizon = spec.horizon;
+        bp.bursts_per_slot = static_cast<double>(spec.k) / 256.0;
+        bp.burst_scale = 32;
+        bp.tail_cap = 6;
+        bp.seed = spec.seed;
+        const SparseMultiTrace sparse = SparseBurstTrace(bp);
+        MultiSessionParams p;
+        p.sessions = spec.k;
+        p.offline_bandwidth = spec.bo;
+        p.offline_delay = spec.d_o;
+        PhasedMulti probe(p);
+        std::int64_t parked_resets = 0;
+        for (Time t = 0; t < spec.horizon; ++t) {
+          bool any_parked = false;
+          for (std::int64_t i = 0; i < spec.k && !any_parked; ++i) {
+            any_parked = probe.Parked(i);
+          }
+          const std::int64_t stages_before = probe.stages();
+          probe.StepSparse(t, sparse.Slot(t));
+          if (probe.stages() > stages_before && any_parked) ++parked_resets;
+        }
+        if (probe.stages() < 1 || parked_resets < 1) {
+          return spec.Label() + ": no RESET found a parked session (" +
+                 std::to_string(probe.stages()) + " stages)";
+        }
+        return CompareToFullSweep(spec);
+      },
+      sweep);
+  EXPECT_TRUE(r.ok()) << r.Summary();
+}
+
 // Faulted control plane: the adapter steps its control model and its real
 // channels sparsely while every lane still runs its retry state machine —
 // the lossy/denying/jittery lanes must see identical request streams and
@@ -609,6 +674,72 @@ TEST(EngineEquivalence, EventEngineActuallySparse) {
   EXPECT_LT(a.stats.touched_session_slots, dense_total)
       << "engine touched every session every slot — no sparsity win";
   EXPECT_GT(a.stats.touched_session_slots, 0);
+}
+
+// The engine's work counters depend only on the input, so they are pinned
+// exactly for one small phased run, and a run crashed and resumed from a
+// checkpoint must report the same counts as the straight run.
+TEST(EngineEquivalence, WorkCountersArePinned) {
+  SparseBurstParams bp;
+  bp.sessions = 64;
+  bp.horizon = 1200;
+  bp.bursts_per_slot = 0.25;
+  bp.burst_scale = 32;
+  bp.tail_cap = 6;
+  bp.seed = 1;
+  const SparseMultiTrace sparse = SparseBurstTrace(bp);
+  MultiSessionParams p;
+  p.sessions = bp.sessions;
+  p.offline_bandwidth = 2 * bp.sessions;
+  p.offline_delay = 16;
+
+  EventEngineStats straight;
+  {
+    PhasedMulti sys(p);
+    MultiEngineOptions opt;
+    opt.drain_slots = 8 * p.offline_delay;
+    opt.event_stats = &straight;
+    RunMultiSessionEvent(sparse, sys, opt);
+  }
+  EXPECT_EQ(straight.session_serves, 5248);
+  EXPECT_EQ(straight.boundary_visits, 756);
+
+  std::string blob;
+  {
+    PhasedMulti sys(p);
+    MultiEngineOptions opt;
+    opt.drain_slots = 8 * p.offline_delay;
+    opt.checkpoint.every = 100;
+    opt.checkpoint.capture = &blob;
+    opt.checkpoint.crash_at = 650;
+    EXPECT_THROW(RunMultiSessionEvent(sparse, sys, opt), CrashInjected);
+  }
+  EventEngineStats resumed;
+  {
+    PhasedMulti sys(p);
+    MultiEngineOptions opt;
+    opt.drain_slots = 8 * p.offline_delay;
+    opt.event_stats = &resumed;
+    opt.checkpoint.resume = &blob;
+    RunMultiSessionEvent(sparse, sys, opt);
+  }
+  EXPECT_EQ(resumed.session_serves, straight.session_serves);
+  EXPECT_EQ(resumed.boundary_visits, straight.boundary_visits);
+  EXPECT_EQ(resumed.arrival_events, straight.arrival_events);
+  EXPECT_EQ(resumed.touched_session_slots, straight.touched_session_slots);
+
+  // The full sweep serves every session every slot.
+  EventEngineStats full;
+  {
+    PhasedMulti sys(p);
+    sys.FullSweepForTest();
+    MultiEngineOptions opt;
+    opt.drain_slots = 8 * p.offline_delay;
+    opt.event_stats = &full;
+    RunMultiSessionEvent(sparse, sys, opt);
+  }
+  EXPECT_EQ(full.session_serves,
+            p.sessions * (bp.horizon + 8 * p.offline_delay));
 }
 
 TEST(SparseMultiTraceTest, FromDenseDropsZerosExactly) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 namespace bwalloc {
 namespace {
@@ -91,6 +93,60 @@ TEST(DelayHistogram, WeightedSumStaysExactPastInt64) {
   other.Record(150, big);
   h.Merge(other);
   EXPECT_DOUBLE_EQ(h.MeanDelay(), 100.0);
+}
+
+TEST(DelaySummary, EmptyDefaults) {
+  const DelaySummary s;
+  EXPECT_EQ(s.total_bits(), 0);
+  EXPECT_EQ(s.max_delay(), 0);
+  EXPECT_DOUBLE_EQ(s.MeanDelay(), 0.0);
+  EXPECT_EQ(s, DelayHistogram().summary());
+}
+
+// A summary and a histogram fed the same sequence agree on everything the
+// summary keeps, including a zero-bit record's non-effect on the max.
+TEST(DelaySummary, MatchesHistogramOnTheSameSequence) {
+  const std::vector<std::pair<Time, Bits>> seq = {
+      {3, 10}, {0, 5}, {17, 0}, {9, 1}, {3, 7}, {2, 200}};
+  DelaySummary s;
+  DelayHistogram h;
+  for (const auto& [delay, bits] : seq) {
+    s.Record(delay, bits);
+    h.Record(delay, bits);
+  }
+  EXPECT_EQ(s.total_bits(), h.total_bits());
+  EXPECT_EQ(s.max_delay(), h.max_delay());
+  EXPECT_EQ(s.max_delay(), 9);
+  EXPECT_DOUBLE_EQ(s.MeanDelay(), h.MeanDelay());
+  EXPECT_EQ(s, h.summary());
+}
+
+TEST(DelaySummary, MergeMatchesHistogramMerge) {
+  DelaySummary sa;
+  DelaySummary sb;
+  DelayHistogram ha;
+  DelayHistogram hb;
+  sa.Record(4, 8);
+  ha.Record(4, 8);
+  sb.Record(11, 3);
+  hb.Record(11, 3);
+  sa.Merge(sb);
+  ha.Merge(hb);
+  EXPECT_EQ(sa, ha.summary());
+  EXPECT_EQ(sa.max_delay(), 11);
+}
+
+TEST(DelaySummary, StateRoundTrips) {
+  DelaySummary s;
+  s.Record(5, 200'000'000'000'000'000);
+  s.Record(9, 200'000'000'000'000'000);  // weighted sum past INT64_MAX
+  StateWriter w;
+  s.SaveState(w);
+  DelaySummary back;
+  StateReader r(w.bytes());
+  back.LoadState(r);
+  r.ExpectEnd();
+  EXPECT_EQ(back, s);
 }
 
 using DelayHistogramDeathTest = ::testing::Test;

@@ -1,5 +1,7 @@
 #include "sim/session_channels.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace bwalloc {
@@ -56,6 +58,35 @@ TEST(SessionChannels, TotalsAcrossSessions) {
   ch.Enqueue(0, 0, 5);
   ch.Enqueue(2, 0, 5);
   EXPECT_EQ(ch.TotalQueued(), 10);
+}
+
+// Delivered bits are recorded twice: into the one aggregate histogram and
+// into the serving session's summary. Both account for every delivered
+// bit, and merging the summaries gives the aggregate's summary.
+TEST(SessionChannels, AggregateDelayMatchesSessionSummaries) {
+  SessionChannels ch(3, ServiceDiscipline::kTwoChannel);
+  ch.SetRegular(0, Bandwidth::FromBitsPerSlot(2));
+  ch.SetRegular(1, Bandwidth::FromBitsPerSlot(5));
+  ch.Enqueue(0, 0, 6);  // served 2 per slot: delays 0, 1, 2
+  ch.Enqueue(1, 0, 5);  // served at once: delay 0
+  ch.Enqueue(1, 1, 4);  // served at once: delay 0
+  for (Time t = 0; t < 4; ++t) ch.ServeActiveSlot(t);
+  EXPECT_EQ(ch.total_delivered(), 15);
+  EXPECT_EQ(ch.delay().total_bits(), 15);
+  EXPECT_EQ(ch.delay().max_delay(), 2);
+  EXPECT_EQ(ch.delay().Percentile(0.5), 0);
+  EXPECT_EQ(ch.session_delay(0).total_bits(), 6);
+  EXPECT_EQ(ch.session_delay(0).max_delay(), 2);
+  EXPECT_DOUBLE_EQ(ch.session_delay(0).MeanDelay(), 1.0);
+  EXPECT_EQ(ch.session_delay(1).total_bits(), 9);
+  EXPECT_EQ(ch.session_delay(1).max_delay(), 0);
+  EXPECT_EQ(ch.session_delay(2).total_bits(), 0);
+  const std::vector<DelaySummary> all = ch.SessionDelays();
+  ASSERT_EQ(all.size(), 3u);
+  DelaySummary merged;
+  for (const DelaySummary& d : all) merged.Merge(d);
+  EXPECT_EQ(merged, ch.delay().summary());
+  ch.CheckTotalsAgainstRecount();
 }
 
 TEST(SessionChannels, AddOverflowAccumulatesAndChecksSign) {

@@ -23,11 +23,13 @@
 #                             # and pinned traces (the adapters shard over
 #                             # the batch runner, so races surface here)
 #   tools/check.sh engine-eq  # engine differential subset under tsan:
-#                             # the pruned-vs-full-sweep property grids +
-#                             # the cross-jobs soak (byte-identity over
-#                             # faulted grids at --jobs 1/2/4), the engine
-#                             # and timer-wheel unit tests, and the
-#                             # CLI-level pinned-trace gates
+#                             # the pruned-vs-full-sweep property grids
+#                             # (incl. the parked-session grid) + the
+#                             # cross-jobs soak (byte-identity over
+#                             # faulted grids at --jobs 1/2/4), the pinned
+#                             # work counters, the engine, timer-wheel,
+#                             # session-channel and delay-record unit
+#                             # tests, and the CLI-level pinned-trace gates
 #   tools/check.sh runner     # batch-scheduler subset under tsan: the
 #                             # work-stealing pool tests (skewed-cost
 #                             # determinism, re-entry fail-fast, steal
@@ -39,9 +41,12 @@
 #                             # crash->restore grids against the full-sweep
 #                             # reference (sharded at --jobs 4, so the
 #                             # supervised restart path races surface
-#                             # here), and the bwsim checkpoint CLI
-#                             # contract incl. the crash+resume round trip
-#                             # and the stale-checkpoint refusals
+#                             # here) incl. the parked-session restore
+#                             # cell, the delay-summary state round trip,
+#                             # and the bwsim checkpoint CLI contract incl.
+#                             # the crash+resume round trip and the
+#                             # stale-checkpoint (version 1 and 2)
+#                             # refusals
 #   tools/check.sh churn      # session-churn subset under tsan: the
 #                             # arrival/admission/lifecycle unit tests,
 #                             # the churned engine-equivalence and
@@ -86,7 +91,7 @@ case "$mode" in
     ;;
   engine-eq)
     sanitize="thread"; dir="${2:-$repo/build-tsan}"
-    test_filter=(-R 'EngineEquivalence|EngineMulti|SparseMultiTrace|TimerWheel|bwsim_engine|bwsim_pinned')
+    test_filter=(-R 'EngineEquivalence|EngineMulti|SparseMultiTrace|TimerWheel|SessionChannels|DelaySummary|DelayHistogram|bwsim_engine|bwsim_pinned')
     ;;
   runner)
     sanitize="thread"; dir="${2:-$repo/build-tsan}"
@@ -94,7 +99,7 @@ case "$mode" in
     ;;
   crash)
     sanitize="thread"; dir="${2:-$repo/build-tsan}"
-    test_filter=(-R 'CrashRecovery|Checkpoint|Serializer|SupervisedRunner|CrashPlan|bwsim_crash|bwsim_checkpoint|bwsim_cli_rejects_.*checkpoint|bwsim_cli_rejects_.*resume')
+    test_filter=(-R 'CrashRecovery|Checkpoint|Serializer|DelaySummary|SupervisedRunner|CrashPlan|bwsim_crash|bwsim_checkpoint|bwsim_cli_rejects_.*checkpoint|bwsim_cli_rejects_.*resume')
     ;;
   churn)
     sanitize="thread"; dir="${2:-$repo/build-tsan}"
