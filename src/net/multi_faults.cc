@@ -1,5 +1,7 @@
 #include "net/multi_faults.h"
 
+#include <algorithm>
+
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -31,8 +33,10 @@ RobustMultiSessionAdapter::RobustMultiSessionAdapter(
   plan.ValidateRecoverable();
   opts_.Validate();
   lanes_.reserve(static_cast<std::size_t>(sessions_));
+  live_.reserve(static_cast<std::size_t>(sessions_));
   for (std::int64_t i = 0; i < sessions_; ++i) {
     lanes_.emplace_back(FaultySignalingChannel(path, PerSessionPlan(plan, i)));
+    live_.push_back(i);
   }
 }
 
@@ -55,18 +59,25 @@ void RobustMultiSessionAdapter::StepSparse(
   const std::int64_t extra_each = extra_raw / sessions_;
   const std::int64_t extra_rem = extra_raw % sessions_;
 
+  if (live_stale_) {  // drop the lanes that departed since the last slot
+    live_stale_ = false;
+    std::erase_if(live_, [this](std::int64_t i) {
+      return !lanes_[static_cast<std::size_t>(i)].active;
+    });
+  }
   const SessionChannels& intent = inner_->channels();
-  for (std::int64_t i = 0; i < sessions_; ++i) {
-    if (!lanes_[static_cast<std::size_t>(i)].active) continue;
+  for (const std::int64_t i : live_) {
     const Bandwidth intended =
         intent.regular_bw(i) + intent.overflow_bw(i) +
         Bandwidth::FromRaw(extra_each + (i == 0 ? extra_rem : 0));
     StepLane(now, i, intended);
   }
+  lane_steps_ += static_cast<std::int64_t>(live_.size());
 
   channels_.ServeActiveSlot(now);
 
-  for (std::int64_t i = 0; i < sessions_; ++i) {
+  // Park clears the fallback drain, so only live lanes can need it.
+  for (const std::int64_t i : live_) {
     SignalLane& signal = lanes_[static_cast<std::size_t>(i)].signal;
     if (signal.in_fallback()) signal.OnServed(channels_.regular_queue_size(i));
   }
@@ -111,7 +122,12 @@ void RobustMultiSessionAdapter::StepLane(Time now, std::int64_t i,
 
 void RobustMultiSessionAdapter::OnSessionJoin(Time now, std::int64_t session) {
   inner_->OnSessionJoin(now, session);
-  lanes_[static_cast<std::size_t>(session)].active = true;
+  Lane& lane = lanes_[static_cast<std::size_t>(session)];
+  if (lane.active) return;
+  lane.active = true;
+  // A lane that departed earlier this slot may still be listed.
+  const auto at = std::lower_bound(live_.begin(), live_.end(), session);
+  if (at == live_.end() || *at != session) live_.insert(at, session);
 }
 
 Bits RobustMultiSessionAdapter::OnSessionDepart(Time now,
@@ -121,6 +137,7 @@ Bits RobustMultiSessionAdapter::OnSessionDepart(Time now,
   inner_->OnSessionDepart(now, session);
   Lane& lane = lanes_[static_cast<std::size_t>(session)];
   lane.active = false;
+  live_stale_ = true;
   lane.signal.Park(now);
   if (lane.degraded) {
     lane.degraded = false;

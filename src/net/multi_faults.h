@@ -56,8 +56,9 @@ class RobustMultiSessionAdapter final : public MultiSessionSystem {
                             const NetworkPath& path, const FaultPlan& plan,
                             const RobustOptions& options);
 
-  // The control model and the real data plane step sparsely; every active
-  // lane still runs its retry state machine each slot.
+  // The control model and the real data plane step sparsely, and only the
+  // lanes of joined sessions run their retry state machines: a slot costs
+  // the live lanes, not every lane ever offered.
   void StepSparse(Time now,
                   std::span<const SessionArrival> arrivals) override;
   void FullSweepForTest() override {
@@ -98,6 +99,10 @@ class RobustMultiSessionAdapter final : public MultiSessionSystem {
   bool in_fallback(std::int64_t session) const;
   std::int64_t sessions() const { return sessions_; }
 
+  // Observer counter (not checkpointed, like session_serves): lane state
+  // machine steps taken so far, one per live lane per slot.
+  std::int64_t lane_steps() const { return lane_steps_; }
+
   // --- dynamic churn --------------------------------------------------------
   // Churn passes through to the control model; the adapter additionally
   // parks the departing session's lane (cancelling its outstanding request,
@@ -133,11 +138,15 @@ class RobustMultiSessionAdapter final : public MultiSessionSystem {
       throw StateFormatError("fault lane count mismatch in checkpoint");
     }
     degraded_count_ = 0;
-    for (Lane& lane : lanes_) {
+    live_.clear();
+    live_stale_ = false;
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      Lane& lane = lanes_[i];
       lane.signal.LoadState(r);
       lane.degraded = r.Bool();
       lane.active = r.Bool();
       if (lane.degraded) ++degraded_count_;
+      if (lane.active) live_.push_back(static_cast<std::int64_t>(i));
     }
   }
 
@@ -158,6 +167,14 @@ class RobustMultiSessionAdapter final : public MultiSessionSystem {
   std::int64_t sessions_;
   SessionChannels channels_;
   std::vector<Lane> lanes_;
+  // The active lanes in ascending session order, which keeps per-lane
+  // trace events in session order. A join inserts at once; a departure
+  // only clears Lane::active and marks the list stale, and the next slot
+  // drops every departed lane in one pass, so the slot-0 departure of all
+  // k sessions costs O(k), not k front erasures.
+  std::vector<std::int64_t> live_;
+  bool live_stale_ = false;
+  std::int64_t lane_steps_ = 0;
   Tracer tracer_;  // disabled unless SetTracer was called
   // Lanes currently inside an open degraded window — the run's fault
   // recovery debt, maintained incrementally and exported as a gauge.

@@ -223,6 +223,9 @@ MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
   std::vector<SessionArrival> masked;  // churn-filtered slot, reused
 
   const CheckpointOptions& ckpt = options.checkpoint;
+  // One capture buffer for the whole run: each capture overwrites it in
+  // place instead of regrowing a multi-megabyte payload from empty.
+  StateWriter capture;
   if (ckpt.enabled()) {
     BW_REQUIRE(system.SupportsCheckpoint(),
                "RunMultiSessionEvent: system does not support checkpointing");
@@ -390,7 +393,8 @@ MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
           meta.journal_bytes = tracer.sink()->bytes_written();
         }
         meta.committed_total_raw = util.TotalAllocatedRaw();
-        StateWriter w;
+        StateWriter& w = capture;
+        w.Clear();
         meta.Save(w);
         SaveEngineState(w, util, declared_total, shadow_regular_raw,
                              shadow_overflow_raw, queue_hwm, result, stats);

@@ -2,8 +2,10 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "obs/telemetry/hub.h"
 #include "util/json_writer.h"
@@ -12,29 +14,66 @@ namespace bwalloc {
 
 namespace {
 
-std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: [0] is the classic bytewise table, and [s][b] is
+// the CRC of byte b followed by s zero bytes, so eight lookups fold one
+// 8-byte word into the running CRC.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t s = 1; s < t.size(); ++s) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
 [[noreturn]] void Reject(const std::string& source, const std::string& why) {
   throw CheckpointError("checkpoint " + source + ": " + why);
 }
 
+// Writes an already wrapped blob to `path` through a temp file + rename.
+void WriteBlobAtomically(const std::string& path, std::string_view blob) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) Reject(tmp, "cannot open for writing");
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+    out.flush();
+    if (!out) Reject(tmp, "write failed");
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) Reject(path, "atomic rename failed: " + ec.message());
+}
+
 }  // namespace
 
 std::uint32_t Crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> table = MakeCrcTable();
+  static const CrcTables t = MakeCrcTables();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
+  const char* p = data.data();
+  std::size_t n = data.size();
+  // The word load assumes a little-endian host, as the serializer does.
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    word ^= crc;
+    crc = t[7][word & 0xFFu] ^ t[6][(word >> 8) & 0xFFu] ^
+          t[5][(word >> 16) & 0xFFu] ^ t[4][(word >> 24) & 0xFFu] ^
+          t[3][(word >> 32) & 0xFFu] ^ t[2][(word >> 40) & 0xFFu] ^
+          t[1][(word >> 48) & 0xFFu] ^ t[0][word >> 56];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -44,7 +83,9 @@ std::string WrapCheckpoint(std::string_view payload) {
   w.U32(kCheckpointVersion);
   w.U64(payload.size());
   w.U32(Crc32(payload));
-  std::string out(kCheckpointMagic);
+  std::string out;
+  out.reserve(kCheckpointMagic.size() + w.bytes().size() + payload.size());
+  out += kCheckpointMagic;
   out += w.bytes();
   out += payload;
   return out;
@@ -74,26 +115,15 @@ std::string UnwrapCheckpoint(std::string_view blob,
                        std::to_string(payload_len) + ", file holds " +
                        std::to_string(r.remaining()) + " — torn write?)");
   }
-  std::string payload(blob.substr(header));
+  const std::string_view payload = blob.substr(header);
   if (Crc32(payload) != crc) {
     Reject(source, "CRC mismatch (corrupted payload)");
   }
-  return payload;
+  return std::string(payload);
 }
 
 void WriteCheckpointFile(const std::string& path, std::string_view payload) {
-  const std::string blob = WrapCheckpoint(payload);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) Reject(tmp, "cannot open for writing");
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    out.flush();
-    if (!out) Reject(tmp, "write failed");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) Reject(path, "atomic rename failed: " + ec.message());
+  WriteBlobAtomically(path, WrapCheckpoint(payload));
 }
 
 std::string ReadCheckpointFile(const std::string& path) {
@@ -140,11 +170,12 @@ void PublishCheckpoint(const CheckpointOptions& options,
   const std::int64_t t0 = options.telemetry != nullptr
                               ? telemetry::MonotonicNowNs()
                               : 0;
-  if (!options.dir.empty()) {
-    WriteCheckpointFile(options.dir + "/" + options.stem + ".ckpt", payload);
-  }
-  if (options.capture != nullptr) {
-    *options.capture = WrapCheckpoint(payload);
+  if (!options.dir.empty() || options.capture != nullptr) {
+    std::string blob = WrapCheckpoint(payload);
+    if (!options.dir.empty()) {
+      WriteBlobAtomically(options.dir + "/" + options.stem + ".ckpt", blob);
+    }
+    if (options.capture != nullptr) *options.capture = std::move(blob);
   }
   if (options.telemetry != nullptr) {
     options.telemetry->Add(telemetry::Counter::kCheckpoints);

@@ -6,6 +6,10 @@
 //   magic "BWCKPT1\n" (8) | version u32 | payload length u64 |
 //   CRC-32 of payload u32 | payload bytes
 //
+// The CRC is the IEEE/zlib CRC-32, computed slicing-by-8 (eight 256-entry
+// tables, one 8-byte word per step): about five times the speed of one
+// table lookup per byte, so a multi-megabyte capture stays cheap.
+//
 // The envelope is what makes corruption *detectable*: truncation, a torn
 // mid-write file, a stale version, or a flipped bit all fail UnwrapCheckpoint
 // with a CheckpointError naming the source, never a silent mis-restore.
@@ -65,7 +69,7 @@ inline constexpr std::uint32_t kCheckpointVersion = 3;
 inline constexpr std::string_view kSingleCheckpointKind = "single";
 inline constexpr std::string_view kMultiCheckpointKind = "multi-event";
 
-// CRC-32 (IEEE 802.3 polynomial, the zlib convention).
+// CRC-32 (IEEE 802.3 polynomial, the zlib convention), slicing-by-8.
 std::uint32_t Crc32(std::string_view data);
 
 // Adds the envelope around a serialized payload.

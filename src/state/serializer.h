@@ -2,6 +2,8 @@
 //
 // StateWriter/StateReader encode a flat little-endian byte stream:
 // fixed-width integers, length-prefixed strings, and 4-byte section tags.
+// Each fixed-width field is copied as one block of host bytes, which is
+// the little-endian layout on every host this builds for (checked below).
 // The format is deliberately boring — no varints, no alignment, no
 // back-references — so a round-trip is exactly reproducible and a reader
 // failure always means real corruption or version skew, never a parser
@@ -14,6 +16,7 @@
 // state/checkpoint.h and links as the bwalloc_state library.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -21,6 +24,10 @@
 #include <string_view>
 
 namespace bwalloc {
+
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint fields are copied as host bytes and must be "
+              "little-endian");
 
 // Thrown by StateReader on any malformed payload: truncation, a section
 // tag mismatch, or an out-of-range scalar. The message names the failure;
@@ -39,19 +46,9 @@ class StateWriter {
 
   void Bool(bool v) { U8(v ? 1 : 0); }
 
-  void U32(std::uint32_t v) {
-    char b[4];
-    for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    buf_.append(b, 4);
-  }
-
-  void U64(std::uint64_t v) {
-    char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    buf_.append(b, 8);
-  }
-
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
+  void U32(std::uint32_t v) { Fixed(v); }
+  void U64(std::uint64_t v) { Fixed(v); }
+  void I64(std::int64_t v) { Fixed(v); }
 
   void Str(std::string_view s) {
     U64(s.size());
@@ -59,9 +56,17 @@ class StateWriter {
   }
 
   const std::string& bytes() const { return buf_; }
-  std::string TakeBytes() { return std::move(buf_); }
+
+  // Empties the buffer and keeps its capacity, so a writer reused from
+  // capture to capture does not regrow its bytes from nothing.
+  void Clear() { buf_.clear(); }
 
  private:
+  template <typename T>
+  void Fixed(T v) {
+    buf_.append(reinterpret_cast<const char*>(&v), sizeof(T));
+  }
+
   std::string buf_;
 };
 
@@ -88,27 +93,9 @@ class StateReader {
     return v != 0;
   }
 
-  std::uint32_t U32() {
-    const std::string_view b = Raw(4);
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(b[i]))
-           << (8 * i);
-    }
-    return v;
-  }
-
-  std::uint64_t U64() {
-    const std::string_view b = Raw(8);
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i]))
-           << (8 * i);
-    }
-    return v;
-  }
-
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
+  std::uint32_t U32() { return Fixed<std::uint32_t>(); }
+  std::uint64_t U64() { return Fixed<std::uint64_t>(); }
+  std::int64_t I64() { return Fixed<std::int64_t>(); }
 
   // U64 with an upper bound, for element counts: a corrupt count must fail
   // here, not as a bad_alloc when the caller resizes a vector to it.
@@ -133,6 +120,13 @@ class StateReader {
   }
 
  private:
+  template <typename T>
+  T Fixed() {
+    T v{};
+    std::memcpy(&v, Raw(sizeof(T)).data(), sizeof(T));
+    return v;
+  }
+
   std::string_view Raw(std::uint64_t n) {
     if (n > remaining()) throw StateFormatError("state payload truncated");
     const std::string_view out = data_.substr(pos_, n);

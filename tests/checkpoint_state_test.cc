@@ -14,9 +14,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,6 +62,54 @@ TEST(SerializerTest, RoundTripsEveryScalarType) {
   EXPECT_EQ(r.Str(), "");
   r.ExpectEnd();
   EXPECT_TRUE(r.AtEnd());
+}
+
+// The checkpoint bytes are little-endian fixed-width fields, whatever the
+// writer does internally: pin them byte for byte, and read the same fields
+// back from the hand-built bytes.
+TEST(SerializerTest, ScalarByteLayoutIsPinned) {
+  StateWriter w;
+  w.Tag("TST1");
+  w.U8(0xAB);
+  w.Bool(true);
+  w.Bool(false);
+  w.U32(0xDEADBEEFu);
+  w.U64(0x0123456789ABCDEFULL);
+  w.I64(-42);
+  w.Str("hi");
+
+  const std::vector<unsigned char> want = {
+      'T',  'S',  'T',  '1',                           // Tag
+      0xAB,                                            // U8
+      0x01, 0x00,                                      // Bool, Bool
+      0xEF, 0xBE, 0xAD, 0xDE,                          // U32
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // U64
+      0xD6, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // I64(-42)
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // Str length
+      'h',  'i'};
+  const std::string pinned(want.begin(), want.end());
+  EXPECT_EQ(w.bytes(), pinned);
+
+  StateReader r(pinned);
+  r.Tag("TST1");
+  EXPECT_EQ(r.U8(), 0xAB);
+  EXPECT_TRUE(r.Bool());
+  EXPECT_FALSE(r.Bool());
+  EXPECT_EQ(r.U32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.U64(), 0x0123456789ABCDEFULL);
+  EXPECT_EQ(r.I64(), -42);
+  EXPECT_EQ(r.Str(), "hi");
+  r.ExpectEnd();
+}
+
+// Clear keeps a writer usable for the next capture: the bytes start over.
+TEST(SerializerTest, ClearStartsTheBytesOver) {
+  StateWriter w;
+  w.U64(7);
+  w.Clear();
+  EXPECT_TRUE(w.bytes().empty());
+  w.U32(0x01020304u);
+  EXPECT_EQ(w.bytes(), std::string("\x04\x03\x02\x01", 4));
 }
 
 TEST(SerializerTest, TagMismatchThrows) {
@@ -194,6 +244,43 @@ TEST(CheckpointEnvelopeTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(Crc32(""), 0x00000000u);
 }
 
+// Bit-at-a-time CRC-32, independent of the sliced tables Crc32 uses.
+std::uint32_t ReferenceCrc32(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng());
+  return out;
+}
+
+// Every length 0..67 at every start offset 0..7: the word loop's unaligned
+// heads, its bytewise tails, and lengths below one word.
+TEST(CheckpointEnvelopeTest, Crc32MatchesReferenceAtEveryOffsetAndLength) {
+  const std::string buf = RandomBytes(8 + 67, 0xC2C32u);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const std::string_view s = std::string_view(buf).substr(offset, len);
+      EXPECT_EQ(Crc32(s), ReferenceCrc32(s))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(CheckpointEnvelopeTest, Crc32MatchesReferenceOnOneMebibyte) {
+  const std::string buf = RandomBytes(std::size_t{1} << 20, 0x1DB71064u);
+  EXPECT_EQ(Crc32(buf), ReferenceCrc32(buf));
+}
+
 // --- meta and debug readers --------------------------------------------------
 
 TEST(CheckpointMetaTest, ReadCheckpointMetaRoundTrips) {
@@ -253,6 +340,22 @@ TEST_F(CheckpointFileTest, WriteReadRoundTripLeavesNoTempFile) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
       << "atomic write left its temp file behind";
   EXPECT_EQ(ReadCheckpointFile(path), payload);
+}
+
+// Both destinations get the one blob PublishCheckpoint wraps.
+TEST_F(CheckpointFileTest, PublishToFileAndCaptureDeliversOneBlob) {
+  CheckpointOptions opts;
+  opts.dir = dir_.string();
+  opts.stem = "both";
+  std::string blob;
+  opts.capture = &blob;
+  const std::string payload = SamplePayload();
+  PublishCheckpoint(opts, payload);
+  std::ifstream in(dir_ / "both.ckpt", std::ios::binary);
+  const std::string on_disk((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(blob, WrapCheckpoint(payload));
+  EXPECT_EQ(on_disk, blob);
 }
 
 TEST_F(CheckpointFileTest, RollingWriteReplacesPreviousCheckpoint) {
@@ -427,6 +530,32 @@ TEST(CheckpointTruncationSweep, EveryPayloadTruncationFailsStructurally) {
         payload.substr(0, cut))))
         << "payload truncated to " << cut << " of " << payload.size()
         << " bytes restored without a structured error";
+  }
+}
+
+// The envelope's own defence, with no re-wrap: a single flipped bit
+// anywhere in a real churned payload must fail the CRC. A CRC-32 detects
+// every single-bit error, so each sampled flip is rejected, not most.
+TEST(CheckpointTruncationSweep, PayloadBitFlipsFailTheCrc) {
+  const std::string blob = ChurnedCheckpointBlob();
+  const std::size_t header = kCheckpointMagic.size() + 4 + 8 + 4;
+  ASSERT_GT(blob.size(), header);
+  const std::size_t payload = blob.size() - header;
+  std::mt19937_64 rng(0xF1195u);
+  std::vector<std::size_t> at = {header, blob.size() - 1};
+  for (int i = 0; i < 254; ++i) at.push_back(header + rng() % payload);
+  for (const std::size_t byte : at) {
+    const int bit = static_cast<int>(rng() % 8u);
+    std::string bent = blob;
+    bent[byte] = static_cast<char>(bent[byte] ^ (1 << bit));
+    try {
+      UnwrapCheckpoint(bent, "flip");
+      ADD_FAILURE() << "flip of bit " << bit << " of byte " << byte
+                    << " passed the CRC";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("CRC mismatch"), std::string::npos)
+          << "byte " << byte << ": " << e.what();
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analysis/json.h"
+#include "core/admission.h"
 #include "core/combined.h"
 #include "core/multi_continuous.h"
 #include "core/multi_phased.h"
@@ -19,7 +20,10 @@
 #include "runner/merge.h"
 #include "runner/parallel_sweep.h"
 #include "runner/suite.h"
+#include "sim/churn.h"
 #include "sim/engine_multi.h"
+#include "state/serializer.h"
+#include "traffic/arrivals.h"
 #include "traffic/workload_suite.h"
 
 namespace bwalloc {
@@ -248,6 +252,159 @@ TEST(RobustMultiSessionAdapter, DegradationSweepHoldsInvariants) {
         return "";
       });
   EXPECT_TRUE(sweep.ok()) << sweep.Summary();
+}
+
+// --- live lanes ---------------------------------------------------------------
+//
+// The adapter steps only the lanes of joined sessions. A churned run driven
+// slot by slot, the way the engine drives it, counts the joined lanes
+// itself and holds lane_steps() to that count, across a mid-churn save and
+// restore too.
+
+constexpr Time kChurnHorizon = 600;
+constexpr Time kChurnSlots = kChurnHorizon + 8 * kDo + 64 * 2;
+
+ChurnPlan LiveLanePlan() {
+  ArrivalParams ap;
+  ap.horizon = kChurnHorizon;
+  ap.offline_bandwidth = kBo;
+  ap.offline_delay = kDo;
+  ap.arrival_rate = 0.25;
+  ap.max_book_ahead = 2 * kDo;
+  ap.seed = 31;
+  return GenerateArrivals(ArrivalProcess::kPoisson, ap);
+}
+
+AdmissionConfig LedgerConfig() {
+  AdmissionConfig ac;
+  ac.policy = AdmissionPolicyKind::kLedger;
+  ac.capacity = kBo;
+  ac.horizon = kChurnHorizon;
+  return ac;
+}
+
+FaultPlan LiveLaneFaults() {
+  FaultPlan plan;
+  plan.loss_rate = 0.05;
+  plan.denial_rate = 0.05;
+  plan.max_jitter = 1;
+  plan.seed = 41;
+  return plan;
+}
+
+// Ledger admission, a churn driver and the phased algorithm behind a
+// 2-hop fault adapter, stepped one slot at a time.
+struct ChurnedLaneRun {
+  ChurnedLaneRun(const ChurnPlan& plan,
+                 const std::vector<std::vector<Bits>>& offered)
+      : traces(offered),
+        policy(LedgerConfig()),
+        driver(plan, policy, 0),
+        adapter(MakeSystem("phased", plan.sessions),
+                NetworkPath::Uniform(2, 1, 1.0), LiveLaneFaults(),
+                Opts(4 * kBo)) {}
+
+  void Step(Time now) {
+    driver.BeginSlot(now, adapter, Tracer(), nullptr);
+    std::vector<SessionArrival> arrivals;
+    for (std::int64_t i = 0; i < adapter.sessions(); ++i) {
+      if (!driver.active(i)) continue;
+      ++joined_lane_slots;
+      const auto& trace = traces[static_cast<std::size_t>(i)];
+      const Bits bits = now < static_cast<Time>(trace.size())
+                            ? trace[static_cast<std::size_t>(now)]
+                            : Bits{0};
+      if (bits > 0) arrivals.push_back({i, bits});
+    }
+    adapter.StepSparse(now, arrivals);
+    for (std::int64_t i = 0; i < adapter.sessions(); ++i) {
+      rates = (rates ^ static_cast<std::uint64_t>(
+                           adapter.channels().regular_bw(i).raw())) *
+              1099511628211ULL;
+    }
+  }
+
+  std::string Save() const {
+    StateWriter w;
+    driver.SaveState(w);
+    adapter.SaveState(w);
+    return w.bytes();
+  }
+
+  const std::vector<std::vector<Bits>>& traces;
+  AdmissionController policy;
+  ChurnDriver driver;
+  RobustMultiSessionAdapter adapter;
+  std::int64_t joined_lane_slots = 0;
+  std::uint64_t rates = 14695981039346656037ULL;  // digest of every rate
+};
+
+TEST(RobustMultiSessionAdapter, StepsOnlyJoinedLanesAcrossRestore) {
+  const ChurnPlan plan = LiveLanePlan();
+  const auto traces = plan.MaterializeTraces();
+  ChurnedLaneRun run(plan, traces);
+  run.driver.Prepare(run.adapter);
+  constexpr Time kSaveAt = kChurnHorizon / 2;
+  for (Time t = 0; t <= kSaveAt; ++t) run.Step(t);
+  EXPECT_EQ(run.adapter.lane_steps(), run.joined_lane_slots);
+  const std::string saved = run.Save();
+  const std::int64_t steps_at_save = run.adapter.lane_steps();
+
+  ChurnedLaneRun restored(plan, traces);
+  StateReader r(saved);
+  restored.driver.LoadState(r);
+  restored.adapter.LoadState(r);
+  r.ExpectEnd();
+  EXPECT_EQ(restored.adapter.lane_steps(), 0) << "an observer, not state";
+  restored.rates = run.rates;
+  for (Time t = kSaveAt + 1; t < kChurnSlots; ++t) {
+    run.Step(t);
+    restored.Step(t);
+  }
+
+  EXPECT_EQ(run.adapter.lane_steps(), run.joined_lane_slots);
+  EXPECT_EQ(restored.adapter.lane_steps(), restored.joined_lane_slots);
+  EXPECT_EQ(restored.adapter.lane_steps(),
+            run.adapter.lane_steps() - steps_at_save);
+  EXPECT_EQ(restored.rates, run.rates);
+  const auto want = run.adapter.per_session_fault_stats();
+  const auto got = restored.adapter.per_session_fault_stats();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(got[i] == want[i]) << "lane " << i;
+  }
+  EXPECT_EQ(restored.Save(), run.Save());
+
+  // The plan churns for real: sessions came and went, lanes faulted, and
+  // far fewer lanes were stepped than a walk over every lane would take.
+  EXPECT_GT(run.driver.stats().departed, 0);
+  EXPECT_GT(run.adapter.fault_stats().losses, 0);
+  EXPECT_LT(run.adapter.lane_steps(), plan.sessions * kChurnSlots / 4);
+}
+
+// A departure and a rejoin of one session inside one slot leave its lane
+// live exactly once; a join that is undone before the next slot leaves no
+// lane behind.
+TEST(RobustMultiSessionAdapter, SameSlotDepartAndRejoinStepsTheLaneOnce) {
+  RobustMultiSessionAdapter adapter(MakeSystem("phased"),
+                                    NetworkPath::Uniform(2, 1, 1.0),
+                                    LiveLaneFaults(), Opts(4 * kBo));
+  const std::vector<SessionArrival> none;
+  adapter.StepSparse(0, none);
+  EXPECT_EQ(adapter.lane_steps(), kSessions);
+  adapter.OnSessionDepart(1, 2);
+  adapter.OnSessionDepart(1, 0);
+  adapter.StepSparse(1, none);
+  EXPECT_EQ(adapter.lane_steps(), kSessions + (kSessions - 2));
+  adapter.OnSessionDepart(2, 1);
+  adapter.OnSessionJoin(2, 1);
+  adapter.OnSessionJoin(2, 2);
+  adapter.StepSparse(2, none);
+  EXPECT_EQ(adapter.lane_steps(), 2 * kSessions - 2 + (kSessions - 1));
+  adapter.OnSessionJoin(3, 0);
+  adapter.OnSessionDepart(3, 0);
+  adapter.StepSparse(3, none);
+  EXPECT_EQ(adapter.lane_steps(), 3 * kSessions - 3 + (kSessions - 1));
 }
 
 TEST(AggregateStats, MergesMultiFaultCountersExactly) {
