@@ -1,73 +1,93 @@
 // Session churn scenario (extension): an access gateway where subscribers
-// dial in and hang up continuously — the paper's multi-session model with
-// dynamic membership. Every join/leave re-divides the regular channel
-// (B_O / k_current) via a RESET, and a departing subscriber's queued bits
-// still make their deadline.
+// dial in and hang up continuously. Poisson session requests, each asking
+// for a fixed rate over a lifetime that may be booked ahead, pass a
+// reservation-ledger admission controller; the ChurnDriver joins admitted
+// sessions at their start slot and departs them at the end of their
+// window; the phased algorithm (Theorem 14) allocates underneath.
+//
+// Each of the plan's channel slots keeps the share B_O / k (k = sessions
+// the plan ever offers). A departing subscriber's queued bits are dropped
+// and counted in churn.dropped_bits, so every bit sent is delivered,
+// still queued, or dropped at a departure.
 #include <cstdio>
 
-#include "core/dynamic_gateway.h"
-#include "util/rng.h"
+#include "core/admission.h"
+#include "core/multi_phased.h"
+#include "sim/churn.h"
+#include "sim/engine_multi.h"
+#include "traffic/arrivals.h"
+#include "util/assert.h"
 
 using namespace bwalloc;
 
 int main() {
   const Bits uplink = 256;  // B_O bits/slot
   const Time sla = 12;      // D_O slots
-
-  DynamicGateway gateway(uplink, sla);
-  Rng rng(2026);
-
-  std::vector<std::int64_t> subscribers;
-  for (int i = 0; i < 6; ++i) subscribers.push_back(gateway.Join());
-
-  std::int64_t joins = 6;
-  std::int64_t leaves = 0;
-  Bits sent = 0;
   const Time horizon = 30000;
-  for (Time t = 0; t < horizon; ++t) {
-    const double per_subscriber =
-        0.55 * static_cast<double>(uplink) /
-        static_cast<double>(subscribers.size());
-    for (const std::int64_t s : subscribers) {
-      const Bits in = rng.Poisson(per_subscriber);
-      gateway.Arrive(t, s, in);
-      sent += in;
-    }
-    if (rng.Bernoulli(0.004) && subscribers.size() > 3) {
-      gateway.Leave(subscribers.back());
-      subscribers.pop_back();
-      ++leaves;
-    } else if (rng.Bernoulli(0.004) && subscribers.size() < 12) {
-      subscribers.push_back(gateway.Join());
-      ++joins;
-    }
-    gateway.Step(t);
-  }
-  for (Time t = horizon; t < horizon + 4 * sla; ++t) gateway.Step(t);
 
-  std::printf("Access gateway under churn (%lld slots):\n",
-              static_cast<long long>(horizon));
-  std::printf("  subscribers now        : %lld (joins %lld, leaves %lld)\n",
-              static_cast<long long>(gateway.active_sessions()),
-              static_cast<long long>(joins), static_cast<long long>(leaves));
+  ArrivalParams arrivals;
+  arrivals.horizon = horizon;
+  arrivals.offline_bandwidth = uplink;
+  arrivals.offline_delay = sla;
+  arrivals.arrival_rate = 0.01;  // one dial-in per 100 slots on average
+  arrivals.mean_hold = 600;
+  arrivals.max_book_ahead = 4 * sla;
+  arrivals.seed = 2026;
+  const ChurnPlan plan = GenerateArrivals(ArrivalProcess::kPoisson, arrivals);
+
+  AdmissionConfig admission;
+  admission.policy = AdmissionPolicyKind::kLedger;
+  admission.capacity = uplink;
+  admission.horizon = horizon;
+  AdmissionController controller(admission);
+  ChurnDriver driver(plan, controller, /*max_pending=*/8);
+
+  MultiSessionParams params;
+  params.sessions = plan.sessions;
+  params.offline_bandwidth = uplink;
+  params.offline_delay = sla;
+  PhasedMulti gateway(params);
+
+  MultiEngineOptions options;
+  options.drain_slots = 4 * sla;
+  options.churn = &driver;
+  const MultiRunResult r =
+      RunMultiSessionEvent(plan.MaterializeTraces(), gateway, options);
+
+  const ChurnStats& churn = r.churn;
+  BW_CHECK(r.total_arrivals ==
+               r.total_delivered + r.final_queue + churn.dropped_bits,
+           "sent != delivered + queued + dropped at departure");
+
+  std::printf("Access gateway under churn (%lld slots, %lld channel slots):\n",
+              static_cast<long long>(horizon),
+              static_cast<long long>(plan.sessions));
+  std::printf("  dial-ins offered       : %lld (admitted %lld, rejected %lld, "
+              "shed %lld)\n",
+              static_cast<long long>(churn.offered),
+              static_cast<long long>(churn.admitted),
+              static_cast<long long>(churn.rejected),
+              static_cast<long long>(churn.shed));
+  std::printf("  hang-ups               : %lld\n",
+              static_cast<long long>(churn.departed));
   std::printf("  bits sent / delivered  : %lld / %lld\n",
-              static_cast<long long>(sent),
-              static_cast<long long>(gateway.delay().total_bits()));
-  std::printf("  max delay              : %lld slots (SLA envelope 3 D_O = "
-              "%lld under churn)\n",
-              static_cast<long long>(gateway.delay().max_delay()),
-              static_cast<long long>(3 * sla));
+              static_cast<long long>(r.total_arrivals),
+              static_cast<long long>(r.total_delivered));
+  std::printf("  dropped at hang-up     : %lld bits (still queued %lld)\n",
+              static_cast<long long>(churn.dropped_bits),
+              static_cast<long long>(r.final_queue));
+  std::printf("  max delay              : %lld slots (D_O = %lld)\n",
+              static_cast<long long>(r.delay.max_delay()),
+              static_cast<long long>(sla));
   std::printf("  p99 / mean delay       : %lld / %.2f slots\n",
-              static_cast<long long>(gateway.delay().Percentile(0.99)),
-              gateway.delay().MeanDelay());
-  std::printf("  allocation changes     : %lld (%lld membership resets, "
-              "%lld overload stages)\n",
-              static_cast<long long>(gateway.allocation_changes()),
-              static_cast<long long>(gateway.membership_resets()),
-              static_cast<long long>(gateway.stages()));
+              static_cast<long long>(r.delay.Percentile(0.99)),
+              r.delay.MeanDelay());
+  std::printf("  allocation changes     : %lld (%lld stages)\n",
+              static_cast<long long>(r.local_changes),
+              static_cast<long long>(r.stages));
   std::printf(
-      "\nEvery join/leave re-divides the pool without touching in-flight "
-      "bits; overload\nstages stay rare because churn already re-fits the "
-      "shares to the population.\n");
+      "\nThe ledger admits a booked session only if every slot of its window "
+      "has room\nunder B_O; the bits a subscriber leaves queued at hang-up "
+      "are the only loss.\n");
   return 0;
 }

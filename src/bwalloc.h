@@ -30,7 +30,6 @@
 // Traffic.
 #include "traffic/adversaries.h"
 #include "traffic/generator.h"
-#include "traffic/resample.h"
 #include "traffic/shaper.h"
 #include "traffic/sources.h"
 #include "traffic/trace_io.h"
@@ -38,7 +37,6 @@
 
 // The paper's algorithms.
 #include "core/combined.h"
-#include "core/dynamic_gateway.h"
 #include "core/high_tracker.h"
 #include "core/low_tracker.h"
 #include "core/multi_continuous.h"
@@ -60,8 +58,7 @@
 #include "baseline/periodic.h"
 #include "baseline/static_alloc.h"
 
-// Network path / signalling / cells.
-#include "net/cells.h"
+// Network path / signalling.
 #include "net/path.h"
 #include "net/signaling.h"
 
@@ -70,7 +67,6 @@
 #include "analysis/competitive.h"
 #include "analysis/cost_model.h"
 #include "analysis/fairness.h"
-#include "analysis/holding.h"
 #include "analysis/json.h"
 #include "analysis/sla.h"
 #include "analysis/table.h"

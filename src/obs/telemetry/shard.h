@@ -9,10 +9,9 @@
 // or last-value, and exact totals are only claimed after the writers
 // quiesce (end of run).
 //
-// This is the replacement for ad-hoc MetricsRegistry writes in hot
-// loops: MetricsRegistry (string-keyed maps, deterministic, merged in
-// task-index order) remains the *result* surface; RuntimeShard is the
-// *live* surface.
+// The shard is the *live* surface. The deterministic *result* surface is
+// the run result and its AggregateStats (merged in task-index order);
+// nothing here feeds it.
 #pragma once
 
 #include <array>

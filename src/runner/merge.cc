@@ -58,7 +58,6 @@ void AggregateStats::Merge(const AggregateStats& other) {
   min_local_utilization =
       std::min(min_local_utilization, other.min_local_utilization);
   delay.Merge(other.delay);
-  metrics.Merge(other.metrics);
 }
 
 Ratio AggregateStats::GlobalUtilization() const {
@@ -82,7 +81,7 @@ bool operator==(const AggregateStats& a, const AggregateStats& b) {
          a.max_delay == b.max_delay &&
          a.peak_allocation == b.peak_allocation &&
          a.min_local_utilization == b.min_local_utilization &&
-         a.delay == b.delay && a.metrics == b.metrics;
+         a.delay == b.delay;
 }
 
 }  // namespace bwalloc

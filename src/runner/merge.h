@@ -10,7 +10,6 @@
 
 #include <cstdint>
 
-#include "obs/metrics.h"
 #include "sim/run_result.h"
 #include "util/histogram.h"
 #include "util/ratio.h"
@@ -40,11 +39,6 @@ struct AggregateStats {
 
   // Bit-weighted merge of every task's delay histogram.
   DelayHistogram delay;
-
-  // Named counters/gauges/histograms the engines filled for each task.
-  // Counters sum, gauges max, histograms merge — all exact, so the sharded
-  // reduction stays bitwise identical.
-  MetricsRegistry metrics;
 
   void Add(const SingleRunResult& r);
   void Add(const MultiRunResult& r);

@@ -132,7 +132,6 @@ CellOutcome RunSingleCell(const SuiteSpec& spec, const TaskContext& ctx) {
   SingleEngineOptions opt;
   opt.utilization_scan_window = spec.window + 5 * p.offline_delay();
   opt.tracer = tracer;
-  opt.metrics = &out.stats.metrics;
   opt.telemetry = tele;
 
   SingleRunResult r;
@@ -232,7 +231,6 @@ CellOutcome RunMultiCell(const SuiteSpec& spec, const TaskContext& ctx) {
   MultiEngineOptions opt;
   opt.drain_slots = 4 * spec.d_o;
   opt.tracer = tracer;
-  opt.metrics = &out.stats.metrics;
   // The engine forwards the shard to the system (and, through the robust
   // adapter, to its fault lanes and inner control model).
   opt.telemetry = tele;

@@ -430,18 +430,6 @@ MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
         util.WorstBestWindowUtilization(options.utilization_scan_window);
   }
 
-  if (options.metrics != nullptr) {
-    MetricsRegistry& m = *options.metrics;
-    m.Count("engine.slots", result.horizon);
-    m.Count("engine.sessions", result.sessions);
-    m.Count("engine.arrival_bits", result.total_arrivals);
-    m.Count("engine.delivered_bits", result.total_delivered);
-    m.Count("engine.local_changes", result.local_changes);
-    m.Count("engine.global_changes", result.global_changes);
-    m.Count("engine.stages", result.stages);
-    m.GaugeMax("engine.peak_alloc_raw", result.peak_total_allocation.raw());
-    m.Histogram("engine.delay").Merge(result.delay);
-  }
   if (options.event_stats != nullptr) *options.event_stats = stats;
   return result;
 }

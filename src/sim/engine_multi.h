@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/stopwatch.h"
 #include "obs/telemetry/shard.h"
 #include "obs/tracer.h"
@@ -189,7 +188,6 @@ struct MultiEngineOptions {
   Time drain_slots = 0;
   // Structured event tracing; also handed to the system via SetTracer.
   Tracer tracer;
-  MetricsRegistry* metrics = nullptr;
   PhaseProfile* profile = nullptr;
   // Filled by RunMultiSessionEvent when non-null.
   EventEngineStats* event_stats = nullptr;

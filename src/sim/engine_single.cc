@@ -198,18 +198,6 @@ SingleRunResult RunSingleSession(const std::vector<Bits>& arrivals,
         util.WorstBestWindowUtilization(options.utilization_scan_window);
   }
 
-  if (options.metrics != nullptr) {
-    MetricsRegistry& m = *options.metrics;
-    m.Count("engine.slots", result.horizon);
-    m.Count("engine.arrival_bits", result.total_arrivals);
-    m.Count("engine.delivered_bits", result.total_delivered);
-    m.Count("engine.dropped_bits", result.dropped);
-    m.Count("engine.alloc_changes", result.changes);
-    m.Count("engine.stages", result.stages);
-    m.GaugeMax("engine.peak_queue_bits", result.peak_queue);
-    m.GaugeMax("engine.peak_alloc_raw", result.peak_allocation.raw());
-    m.Histogram("engine.delay").Merge(result.delay);
-  }
   return result;
 }
 

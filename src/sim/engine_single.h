@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/stopwatch.h"
 #include "obs/telemetry/shard.h"
 #include "obs/tracer.h"
@@ -65,8 +64,6 @@ struct SingleEngineOptions {
   // Structured event tracing. Default-constructed = disabled: the hot loop
   // pays one branch on the tracer's null sink and nothing else.
   Tracer tracer;
-  // Optional run metrics (slots, bits, changes, peaks); not filled if null.
-  MetricsRegistry* metrics = nullptr;
   // Optional wall-clock phase profile (setup / loop / utilization scan).
   PhaseProfile* profile = nullptr;
   // Optional live telemetry shard (nondeterministic lane: slot counters,

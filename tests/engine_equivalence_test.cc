@@ -501,7 +501,7 @@ TEST(EngineEquivalence, PerturbedWakeupsAreCaught) {
 }
 
 // Soak (release mode; the same filter runs under TSan via
-// tools/check.sh engine-eq): the faulted grid is byte-identical across
+// tools/check.sh tsan engine-eq): the faulted grid is byte-identical across
 // seeds AND the *sweep artifacts* are identical across --jobs values, so
 // the harness itself is schedule-independent.
 TEST(EngineEquivalenceSoak, FaultedGridStableAcrossJobs) {

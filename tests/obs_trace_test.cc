@@ -1,13 +1,13 @@
 // The obs layer: tracer/sink plumbing, event masks, NDJSON formatting and
-// parsing, the ring buffer, the metrics registry, and the scoped timers.
+// parsing, the ring buffer, and the scoped timers.
 #include "obs/tracer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/metrics.h"
 #include "obs/stopwatch.h"
 #include "obs/trace_reader.h"
 #include "obs/trace_sink.h"
@@ -168,57 +168,6 @@ TEST(TraceReader, LenientOnFullyCorruptInputReturnsNothing) {
   const auto records = ReadTrace(in, opt, &stats);
   EXPECT_TRUE(records.empty());
   EXPECT_EQ(stats.skipped, 2);
-}
-
-TEST(MetricsRegistry, CountersSumGaugesMaxHistogramsMerge) {
-  MetricsRegistry a;
-  a.Count("slots", 10);
-  a.GaugeMax("peak", 5);
-  a.Histogram("delay").Record(2, 100);
-
-  MetricsRegistry b;
-  b.Count("slots", 7);
-  b.GaugeMax("peak", 3);
-  b.Histogram("delay").Record(4, 50);
-
-  MetricsRegistry ab = a;
-  ab.Merge(b);
-  EXPECT_EQ(ab.counter("slots"), 17);
-  EXPECT_EQ(ab.gauge("peak"), 5);
-  EXPECT_EQ(ab.Histogram("delay").max_delay(), 4);
-
-  // Merge is commutative: b.Merge(a) gives the same registry.
-  MetricsRegistry ba = b;
-  ba.Merge(a);
-  EXPECT_EQ(ab, ba);
-  EXPECT_EQ(ab.ToJson(), ba.ToJson());
-}
-
-TEST(MetricsRegistry, DefaultIsMergeIdentity) {
-  MetricsRegistry a;
-  a.Count("x", 3);
-  a.GaugeMax("g", 9);
-  MetricsRegistry merged = a;
-  merged.Merge(MetricsRegistry{});
-  EXPECT_EQ(merged, a);
-  MetricsRegistry other;
-  other.Merge(a);
-  EXPECT_EQ(other, a);
-}
-
-TEST(MetricsRegistry, ToJsonIsSortedAndWellFormed) {
-  MetricsRegistry m;
-  m.Count("zeta", 1);
-  m.Count("alpha", 2);
-  m.GaugeMax("peak", 4);
-  m.Histogram("delay").Record(1, 10);
-  const std::string json = m.ToJson();
-  EXPECT_LT(json.find("\"alpha\""), json.find("\"zeta\""));
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
 }
 
 TEST(ScopedTimer, NullProfileIsANoOp) {

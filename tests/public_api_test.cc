@@ -22,7 +22,6 @@ TEST(PublicApi, EndToEndThroughTheUmbrellaHeaderOnly) {
   SingleSessionOnline algorithm(params);
   SingleEngineOptions options;
   options.drain_slots = 32;
-  options.record_allocation_trace = true;
   const SingleRunResult run = RunSingleSession(trace, algorithm, options);
   EXPECT_LE(run.delay.max_delay(), params.max_delay);
 
@@ -36,9 +35,6 @@ TEST(PublicApi, EndToEndThroughTheUmbrellaHeaderOnly) {
 
   const CostModel pricing{1.0, 500.0};
   EXPECT_GT(pricing.Cost(run), 0.0);
-
-  const HoldingTimeStats holdings(run.allocation_trace);
-  EXPECT_EQ(holdings.holdings(), run.changes + 1);
 
   SlaContract contract;
   contract.max_delay = params.max_delay;

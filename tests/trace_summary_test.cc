@@ -254,22 +254,5 @@ TEST(TraceSummary, UnknownFutureEventTypesAreCountedNotMiscounted) {
   EXPECT_EQ(known.milestones[0].event, "checkpoint");
 }
 
-TEST(TraceSummary, AggregateMetricsMatchSuiteTotals) {
-  SuiteSpec spec;
-  spec.kind = SuiteSpec::Kind::kSingle;
-  spec.workloads = {"cbr", "onoff"};
-  spec.seeds = 2;
-  spec.horizon = 500;
-
-  BatchRunner runner(BatchOptions{2, 0});
-  const SuiteReport report = RunSuite(spec, runner);
-  ASSERT_TRUE(report.ok());
-  const AggregateStats& a = report.aggregate;
-  EXPECT_EQ(a.metrics.counter("engine.arrival_bits"), a.total_arrivals);
-  EXPECT_EQ(a.metrics.counter("engine.delivered_bits"), a.total_delivered);
-  EXPECT_EQ(a.metrics.counter("engine.alloc_changes"), a.changes);
-  EXPECT_EQ(a.metrics.counter("engine.stages"), a.stages);
-}
-
 }  // namespace
 }  // namespace bwalloc

@@ -82,11 +82,10 @@
 // Structured event tracing (single/multi use --trace-out because --trace
 // already names the input arrival trace; batch uses --trace):
 //   single/multi: [--trace-out events.ndjson] [--trace-events all]
-//                 [--metrics false] [--profile false]
+//                 [--profile false]
 // --trace-events takes a comma list of event names or groups (all, slot,
-// stage, alloc, queue, phase, signal). --metrics prints the named
-// counter/gauge/histogram registry as JSON; --profile prints wall-clock
-// phase timings to stderr (nondeterministic, never part of the trace).
+// stage, alloc, queue, phase, signal). --profile prints wall-clock phase
+// timings to stderr (nondeterministic, never part of the trace).
 //
 // Crash tolerance (`single` and `multi`):
 //   [--checkpoint-every N] [--checkpoint-dir DIR] — capture the full
@@ -158,7 +157,6 @@
 #include "net/faults.h"
 #include "net/multi_faults.h"
 #include "obs/audit/auditor.h"
-#include "obs/metrics.h"
 #include "obs/stopwatch.h"
 #include "obs/telemetry/hub.h"
 #include "obs/telemetry/monitor.h"
@@ -455,7 +453,6 @@ int RunSingle(Flags& flags) {
   plan.seed = static_cast<std::uint64_t>(flags.Int("fault-seed", 0));
   const std::string trace_out = flags.Str("trace-out", "");
   const std::string trace_events = flags.Str("trace-events", "all");
-  const bool print_metrics = flags.Bool("metrics", false);
   const bool print_profile = flags.Bool("profile", false);
   const bool audit = flags.Bool("audit", false);
   const telemetry::MonitorOptions mon = ParseTelemetryFlags(flags);
@@ -540,8 +537,6 @@ int RunSingle(Flags& flags) {
       online->SetObserver(&stage_observer);
     }
   }
-  MetricsRegistry metrics;
-  if (print_metrics) opt.metrics = &metrics;
   PhaseProfile profile;
   if (print_profile) opt.profile = &profile;
 
@@ -596,7 +591,6 @@ int RunSingle(Flags& flags) {
   if (print_profile) std::fputs(profile.Format().c_str(), stderr);
   if (json) {
     std::printf("%s\n", ToJson(r).c_str());
-    if (print_metrics) std::printf("%s\n", metrics.ToJson().c_str());
     if (auditor.has_value()) {
       std::printf("%s\n", auditor->ReportJson().c_str());
       return finish(auditor->ok() ? 0 : 1);
@@ -631,7 +625,6 @@ int RunSingle(Flags& flags) {
   } else {
     table.PrintAscii(std::cout);
   }
-  if (print_metrics) std::printf("%s\n", metrics.ToJson().c_str());
   if (auditor.has_value()) {
     std::fputs(auditor->FormatReport().c_str(), stdout);
     return finish(auditor->ok() ? 0 : 1);
@@ -659,7 +652,6 @@ int RunMulti(Flags& flags) {
   plan.seed = static_cast<std::uint64_t>(flags.Int("fault-seed", 0));
   const std::string trace_out = flags.Str("trace-out", "");
   const std::string trace_events = flags.Str("trace-events", "all");
-  const bool print_metrics = flags.Bool("metrics", false);
   const bool print_profile = flags.Bool("profile", false);
   const bool audit = flags.Bool("audit", false);
   const std::string arrivals = flags.Str("arrivals", "none");
@@ -838,8 +830,6 @@ int RunMulti(Flags& flags) {
                             : static_cast<TraceSink*>(&sink);
     opt.tracer = Tracer(dest, ParseEventsFlag(trace_events), {"multi", 0});
   }
-  MetricsRegistry metrics;
-  if (print_metrics) opt.metrics = &metrics;
   PhaseProfile profile;
   if (print_profile) opt.profile = &profile;
   opt.checkpoint = ckpt_cli.options;
@@ -886,7 +876,6 @@ int RunMulti(Flags& flags) {
   if (print_profile) std::fputs(profile.Format().c_str(), stderr);
   if (json) {
     std::printf("%s\n", ToJson(r).c_str());
-    if (print_metrics) std::printf("%s\n", metrics.ToJson().c_str());
     if (auditor.has_value()) {
       std::printf("%s\n", auditor->ReportJson().c_str());
       return finish(auditor->ok() ? 0 : 1);
@@ -934,7 +923,6 @@ int RunMulti(Flags& flags) {
   } else {
     table.PrintAscii(std::cout);
   }
-  if (print_metrics) std::printf("%s\n", metrics.ToJson().c_str());
   if (auditor.has_value()) {
     std::fputs(auditor->FormatReport().c_str(), stdout);
     return finish(auditor->ok() ? 0 : 1);
@@ -1072,7 +1060,6 @@ int RunBatch(Flags& flags) {
   const bool csv = flags.Bool("csv", false);
   const std::string trace_out = flags.Str("trace", "");
   const std::string trace_events = flags.Str("trace-events", "all");
-  const bool print_metrics = flags.Bool("metrics", false);
   const bool audit = flags.Bool("audit", false);
   const telemetry::MonitorOptions mon = ParseTelemetryFlags(flags);
 
@@ -1155,9 +1142,6 @@ int RunBatch(Flags& flags) {
   const SuiteReport report = RunSuite(spec, runner);
   if (!trace_out.empty()) WriteTraceFile(trace_out, report.trace_ndjson);
   std::fputs(FormatReport(spec, report, csv).c_str(), stdout);
-  if (print_metrics) {
-    std::printf("%s\n", report.aggregate.metrics.ToJson().c_str());
-  }
   const int code = report.ok() ? 0 : 1;
   if (!monitor.has_value()) return code;
   monitor->Stop();
