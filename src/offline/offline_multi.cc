@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 
 #include "offline/segment_envelope.h"
@@ -28,23 +27,26 @@ Bandwidth CeilRatioToBandwidth(const Ratio& r) {
   return Bandwidth::FromRaw(static_cast<std::int64_t>(num / r.den()));
 }
 
-struct MultiSegmentResult {
-  std::vector<Bandwidth> rates;
-  std::vector<std::deque<Chunk>> carried_out;
+// One forward scan from state (s, carried): each session's ceil(lo(t)) of
+// its deadline envelope, in raw Q16 units, for every prefix end t up to the
+// longest feasible end (prefix-closed, as in the single-session case). A
+// candidate segment end then reads its rates from the record instead of
+// re-advancing the envelopes.
+struct MultiStateScan {
+  Time max_e = kNoTime;               // s - 1 when nothing is feasible
+  std::vector<std::int64_t> lo_raw;   // k entries per slot, row t - s
 };
 
-// Fixed segment [s, e]: per-session deadline envelopes; feasible iff the
-// fixed-point ceilings of the envelopes sum to at most B_O. Committed
-// rates get the unused remainder of B_O spread evenly (draining carried
-// backlog instead of piling it into the next segment's first-slot dues).
-std::optional<MultiSegmentResult> TryMultiSegment(
-    const std::vector<std::vector<Bits>>& traces, Bits offline_bandwidth,
-    Time offline_delay, Time s, Time e,
-    const std::vector<std::deque<Chunk>>& carried) {
+MultiStateScan ScanMultiState(const std::vector<std::vector<Bits>>& traces,
+                              Bits offline_bandwidth, Time offline_delay,
+                              Time s, Time horizon,
+                              const std::vector<std::deque<Chunk>>& carried) {
   const std::size_t k = traces.size();
+  MultiStateScan scan;
+  scan.max_e = s - 1;
   for (const auto& q : carried) {
     for (const Chunk& c : q) {
-      if (c.arrival + offline_delay < s) return std::nullopt;
+      if (c.arrival + offline_delay < s) return scan;
     }
   }
   std::vector<SegmentDeadlineEnvelope> envelopes;
@@ -52,22 +54,52 @@ std::optional<MultiSegmentResult> TryMultiSegment(
   for (std::size_t i = 0; i < k; ++i) {
     envelopes.emplace_back(offline_delay, s, carried[i]);
   }
-  std::vector<Ratio> lo(k, Ratio(0, 1));
-  for (Time t = s; t <= e; ++t) {
+  const std::int64_t budget_raw =
+      Bandwidth::FromBitsPerSlot(offline_bandwidth).raw();
+  for (Time t = s; t < horizon; ++t) {
+    const std::size_t row = scan.lo_raw.size();
+    std::int64_t total_raw = 0;
     for (std::size_t i = 0; i < k; ++i) {
-      lo[i] = envelopes[i].Advance(t, ArrivalAt(traces[i], t));
+      const Ratio lo = envelopes[i].Advance(t, ArrivalAt(traces[i], t));
+      const std::int64_t lo_raw = CeilRatioToBandwidth(lo).raw();
+      scan.lo_raw.push_back(lo_raw);
+      total_raw += lo_raw;
     }
+    if (total_raw > budget_raw) {
+      scan.lo_raw.resize(row);
+      break;
+    }
+    scan.max_e = t;
   }
+  return scan;
+}
+
+struct MultiSegmentResult {
+  std::vector<Bandwidth> rates;
+  std::vector<std::deque<Chunk>> carried_out;
+};
+
+// Commits the segment [s, e] (e <= scan.max_e): each session's rate is its
+// envelope ceiling at e, plus the unused remainder of B_O spread evenly
+// (draining carried backlog instead of piling it into the next segment's
+// first-slot dues), and its queue is served through the segment.
+MultiSegmentResult CommitMultiSegment(
+    const std::vector<std::vector<Bits>>& traces, Bits offline_bandwidth,
+    Time offline_delay, Time s, Time e, const MultiStateScan& scan,
+    const std::vector<std::deque<Chunk>>& carried) {
+  const std::size_t k = traces.size();
   MultiSegmentResult result;
   result.rates.resize(k);
   std::int64_t used_raw = 0;
+  const auto row = static_cast<std::size_t>(e - s) * k;
   for (std::size_t i = 0; i < k; ++i) {
-    result.rates[i] = CeilRatioToBandwidth(lo[i]);
+    result.rates[i] = Bandwidth::FromRaw(scan.lo_raw[row + i]);
     used_raw += result.rates[i].raw();
   }
   const std::int64_t budget_raw =
       Bandwidth::FromBitsPerSlot(offline_bandwidth).raw();
-  if (used_raw > budget_raw) return std::nullopt;
+  BW_CHECK(used_raw <= budget_raw,
+           "prefix of a feasible multi segment must be feasible");
   const std::int64_t leftover = budget_raw - used_raw;
   for (std::size_t i = 0; i < k; ++i) {
     result.rates[i] +=
@@ -102,38 +134,6 @@ std::optional<MultiSegmentResult> TryMultiSegment(
     }
   }
   return result;
-}
-
-// Longest feasible end (prefix-closed, as in the single-session case).
-Time MaxFeasibleMultiEnd(const std::vector<std::vector<Bits>>& traces,
-                         Bits offline_bandwidth, Time offline_delay, Time s,
-                         Time horizon,
-                         const std::vector<std::deque<Chunk>>& carried) {
-  const std::size_t k = traces.size();
-  for (const auto& q : carried) {
-    for (const Chunk& c : q) {
-      if (c.arrival + offline_delay < s) return s - 1;
-    }
-  }
-  std::vector<SegmentDeadlineEnvelope> envelopes;
-  envelopes.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    envelopes.emplace_back(offline_delay, s, carried[i]);
-  }
-  const std::int64_t budget_raw =
-      Bandwidth::FromBitsPerSlot(offline_bandwidth).raw();
-  std::vector<Ratio> lo(k, Ratio(0, 1));
-  Time best = s - 1;
-  for (Time t = s; t < horizon; ++t) {
-    std::int64_t total_raw = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      lo[i] = envelopes[i].Advance(t, ArrivalAt(traces[i], t));
-      total_raw += CeilRatioToBandwidth(lo[i]).raw();
-    }
-    if (total_raw > budget_raw) break;
-    best = t;
-  }
-  return best;
 }
 
 std::uint64_t HashState(Time t0,
@@ -202,22 +202,19 @@ MultiOfflineSchedule GreedyMultiSchedule(
     }
     const std::uint64_t key = HashState(t0, carried);
     if (failed.contains(key)) return false;
-    const Time max_e = MaxFeasibleMultiEnd(traces, offline_bandwidth,
-                                           offline_delay, t0, horizon,
-                                           carried);
-    for (Time e = max_e; e >= t0; --e) {
+    const MultiStateScan scan = ScanMultiState(
+        traces, offline_bandwidth, offline_delay, t0, horizon, carried);
+    for (Time e = scan.max_e; e >= t0; --e) {
       if (--work < 0) {
         capped = true;
         return false;
       }
-      const auto seg = TryMultiSegment(traces, offline_bandwidth,
-                                       offline_delay, t0, e, carried);
-      BW_CHECK(seg.has_value(),
-               "prefix of a feasible multi segment must be feasible");
-      if (solve(e + 1, seg->carried_out)) {
+      MultiSegmentResult seg = CommitMultiSegment(
+          traces, offline_bandwidth, offline_delay, t0, e, scan, carried);
+      if (solve(e + 1, seg.carried_out)) {
         MultiOfflinePiece piece;
         piece.start = t0;
-        piece.rates = seg->rates;
+        piece.rates = std::move(seg.rates);
         pieces.push_back(std::move(piece));
         return true;
       }

@@ -3,10 +3,15 @@
 // The paper's lower bounds ("we prove that the competitive ratios for the
 // single user case are tight") are established by adversaries that react
 // to the online algorithm's allocations. A materialized trace cannot do
-// that, so this engine generates the next slot's arrivals from the
-// allocation the algorithm held in the previous slot, and returns the
-// generated trace so the offline comparators can be run on exactly the
-// instance the adversary produced.
+// that, so an adversary is the engines' other arrival source: the
+// RunAdaptive* entry points (defined beside the slot loops in
+// engine_single.cc and engine_multi.cc) run the same loop as the trace
+// entry points, with the next slot's arrivals generated from what the
+// algorithm held in the previous slot, and return the generated trace so
+// the offline comparators can be run on exactly the instance the
+// adversary produced. Every engine option applies, except that checkpoint
+// options are refused (std::invalid_argument): the adversary's state is
+// not checkpointed.
 #pragma once
 
 #include <span>

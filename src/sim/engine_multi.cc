@@ -27,10 +27,10 @@
 // pruning off: every session is dirty and served every slot. The engine
 // then also re-checks observation 2 and bit conservation every slot.
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "obs/telemetry/hub.h"
+#include "sim/adaptive.h"
 #include "sim/churn.h"
 #include "sim/engine_multi.h"
 #include "sim/metrics.h"
@@ -107,20 +107,23 @@ void CheckSlotInvariants(const SessionChannels& ch,
            "dropped");
 }
 
+// The nonzero entries of a dense per-session slot, ascending by session.
+void GatherNonzero(std::span<const Bits> dense,
+                   std::vector<SessionArrival>& out) {
+  out.clear();
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    BW_REQUIRE(dense[i] >= 0, "dense arrival slot: negative bits");
+    if (dense[i] > 0) out.push_back({static_cast<std::int64_t>(i), dense[i]});
+  }
+}
+
 }  // namespace
 
 void MultiSessionSystem::Step(Time now, std::span<const Bits> arrivals) {
   BW_REQUIRE(static_cast<std::int64_t>(arrivals.size()) ==
                  channels().sessions(),
              "MultiSessionSystem::Step: arrival vector size mismatch");
-  dense_step_arrivals_.clear();
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    BW_REQUIRE(arrivals[i] >= 0, "MultiSessionSystem::Step: negative bits");
-    if (arrivals[i] > 0) {
-      dense_step_arrivals_.push_back({static_cast<std::int64_t>(i),
-                                      arrivals[i]});
-    }
-  }
+  GatherNonzero(arrivals, dense_step_arrivals_);
   StepSparse(now, dense_step_arrivals_);
 }
 
@@ -174,17 +177,20 @@ void SparseMultiTrace::Validate() const {
   }
 }
 
-MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
-                                    MultiSessionSystem& system,
-                                    const MultiEngineOptions& options) {
-  sparse.Validate();
-  const std::int64_t k = sparse.sessions;
-  BW_REQUIRE(k == system.channels().sessions(),
-             "RunMultiSessionEvent: trace sessions != system sessions");
+namespace {
 
+// The slot loop. Slot t < source_len takes its sparse arrivals from
+// next_slot(t); the loop is templated on that source, so the trace path
+// pays no indirect call per slot.
+template <class NextSlot>
+MultiRunResult RunSlots(Time source_len, NextSlot&& next_slot,
+                        MultiSessionSystem& system,
+                        const MultiEngineOptions& options) {
+  const SessionChannels& ch = system.channels();
+  const std::int64_t k = ch.sessions();
   MultiRunResult result;
   result.sessions = k;
-  const Time horizon = sparse.horizon + options.drain_slots;
+  const Time horizon = source_len + options.drain_slots;
   result.horizon = horizon;
 
   UtilizationMeter util;
@@ -201,7 +207,6 @@ MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
   Bits queue_hwm = 0;
 
   EventEngineStats stats;
-  const SessionChannels& ch = system.channels();
   const bool full_sweep = ch.full_sweep();
   ch.EnableAllocDirtyTracking();
 
@@ -232,181 +237,151 @@ MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
   }
   Time start = 0;
   if (ckpt.resume != nullptr) {
-    const std::string payload = UnwrapCheckpoint(*ckpt.resume, "resume blob");
-    try {
-      StateReader r(payload);
-      CheckpointMeta meta;
-      meta.Load(r);
-      if (meta.kind != kMultiCheckpointKind) {
-        throw CheckpointError(
-            "checkpoint resume blob: kind is '" + meta.kind +
-            "', this engine resumes 'multi-event' checkpoints");
-      }
-      // Checkpoints land after a finished slot, so next_slot >= 1 and the
-      // resumed loop never re-enters the t == 0 shadow initialization.
-      BW_REQUIRE(meta.next_slot >= 1 && meta.next_slot <= horizon,
-                 "RunMultiSessionEvent: checkpoint resume slot outside "
-                 "horizon");
-      LoadEngineState(r, util, declared_total, shadow_regular_raw,
-                           shadow_overflow_raw, queue_hwm, result, stats);
-      r.Tag("SYS1");
-      system.LoadState(r);
-      r.Tag("CHN1");
-      if (r.Bool() != (churn != nullptr)) {
-        throw StateFormatError(
-            "churn configuration mismatch in checkpoint");
-      }
-      if (churn != nullptr) churn->LoadState(r);
-      r.ExpectEnd();
-      start = meta.next_slot;
-    } catch (const StateFormatError& e) {
-      throw CheckpointError(std::string("checkpoint resume blob: ") +
-                            e.what());
-    }
+    // Checkpoints land after a finished slot, so the resume slot is >= 1
+    // and the resumed loop never re-enters the t == 0 shadow
+    // initialization.
+    start = ResumeCheckpoint(
+        *ckpt.resume, kMultiCheckpointKind, "RunMultiSessionEvent", 1,
+        horizon, [&](StateReader& r) {
+          LoadEngineState(r, util, declared_total, shadow_regular_raw,
+                          shadow_overflow_raw, queue_hwm, result, stats);
+          r.Tag("SYS1");
+          system.LoadState(r);
+          r.Tag("CHN1");
+          if (r.Bool() != (churn != nullptr)) {
+            throw StateFormatError(
+                "churn configuration mismatch in checkpoint");
+          }
+          if (churn != nullptr) churn->LoadState(r);
+        });
     if (ckpt.perturb_restore_for_test) shadow_regular_raw[0] += 1;
   } else if (churn != nullptr) {
     churn->Prepare(system);
   }
 
-  {
-    ScopedTimer loop_timer(options.profile, "engine_multi.loop");
-    for (Time t = start; t < horizon; ++t) {
-      const bool step_sampled = tele != nullptr && (t & 63) == 0;
-      const std::int64_t step_t0 =
-          step_sampled ? telemetry::MonotonicNowNs() : 0;
-      const std::int64_t touched_before = stats.touched_session_slots;
-      const std::int64_t changes_before = result.local_changes;
-      if (churn != nullptr) churn->BeginSlot(t, system, tracer, tele);
-      std::span<const SessionArrival> slot =
-          t < sparse.horizon ? sparse.Slot(t)
-                             : std::span<const SessionArrival>();
-      if (churn != nullptr) {
-        // Offered traffic of sessions that are not currently admitted and
-        // started (rejected, shed, booked-ahead, departed) never enters.
-        masked.clear();
-        for (const SessionArrival& a : slot) {
-          if (churn->active(a.session)) masked.push_back(a);
-        }
-        slot = masked;
+  for (Time t = start; t < horizon; ++t) {
+    const bool step_sampled = tele != nullptr && (t & 63) == 0;
+    const std::int64_t step_t0 =
+        step_sampled ? telemetry::MonotonicNowNs() : 0;
+    const std::int64_t touched_before = stats.touched_session_slots;
+    const std::int64_t changes_before = result.local_changes;
+    if (churn != nullptr) churn->BeginSlot(t, system, tracer, tele);
+    std::span<const SessionArrival> slot =
+        t < source_len ? next_slot(t) : std::span<const SessionArrival>();
+    if (churn != nullptr) {
+      // Offered traffic of sessions that are not currently admitted and
+      // started (rejected, shed, booked-ahead, departed) never enters.
+      masked.clear();
+      for (const SessionArrival& a : slot) {
+        if (churn->active(a.session)) masked.push_back(a);
       }
-      Bits slot_in = 0;
-      for (const SessionArrival& a : slot) slot_in += a.bits;
-      stats.arrival_events += static_cast<std::int64_t>(slot.size());
-
-      const std::int64_t serves_before = ch.session_serves();
-      const std::int64_t visits_before = system.boundary_visits();
-      system.StepSparse(t, slot);
-      stats.session_serves += ch.session_serves() - serves_before;
-      stats.boundary_visits += system.boundary_visits() - visits_before;
-      if (full_sweep) CheckSlotInvariants(ch, system);
-
-      ch.DrainAllocDirty(&dirty);
-      if (t == 0) {
-        // First observation: initialize shadows, count no transitions.
-        for (std::int64_t i = 0; i < k; ++i) {
-          const auto idx = static_cast<std::size_t>(i);
-          shadow_regular_raw[idx] = ch.regular_bw(i).raw();
-          shadow_overflow_raw[idx] = ch.overflow_bw(i).raw();
-        }
-        stats.touched_session_slots += k;
-      } else {
-        std::sort(dirty.begin(), dirty.end());
-        stats.touched_session_slots +=
-            static_cast<std::int64_t>(dirty.size());
-        for (const std::int64_t i : dirty) {
-          const auto idx = static_cast<std::size_t>(i);
-          const std::int64_t reg = ch.regular_bw(i).raw();
-          if (reg != shadow_regular_raw[idx]) {
-            if (tracing) {
-              tracer.Emit(TraceEventType::kAllocChange, t, i,
-                          shadow_regular_raw[idx], reg, kChanRegular);
-            }
-            shadow_regular_raw[idx] = reg;
-            ++result.local_changes;
-          }
-          const std::int64_t ovf = ch.overflow_bw(i).raw();
-          if (ovf != shadow_overflow_raw[idx]) {
-            if (tracing) {
-              tracer.Emit(TraceEventType::kAllocChange, t, i,
-                          shadow_overflow_raw[idx], ovf, kChanOverflow);
-            }
-            shadow_overflow_raw[idx] = ovf;
-            ++result.local_changes;
-          }
-        }
-      }
-
-      const Bandwidth reg_total = ch.TotalRegular();
-      const Bandwidth ovf_total = ch.TotalOverflow();
-      const Bandwidth allocated =
-          system.ExtraAllocatedBandwidth() + reg_total + ovf_total;
-      if (tracing) {
-        tracer.Emit(TraceEventType::kSlotTick, t, -1, slot_in,
-                    ch.TotalQueued());
-        if (declared_total.initialized() &&
-            system.DeclaredTotalBandwidth() != declared_total.current()) {
-          tracer.Emit(TraceEventType::kAllocChange, t, -1,
-                      declared_total.current().raw(),
-                      system.DeclaredTotalBandwidth().raw(), kChanTotal);
-        }
-        const Bits queued = ch.TotalQueued() + system.ExtraQueuedBits();
-        if (queued > queue_hwm) {
-          queue_hwm = queued;
-          tracer.Emit(TraceEventType::kQueueHighWater, t, -1, queue_hwm);
-        }
-      }
-      declared_total.Observe(system.DeclaredTotalBandwidth());
-      util.Record(slot_in, allocated);
-
-      if (allocated > result.peak_total_allocation) {
-        result.peak_total_allocation = allocated;
-      }
-      if (reg_total > result.peak_regular_allocation) {
-        result.peak_regular_allocation = reg_total;
-      }
-      if (ovf_total > result.peak_overflow_allocation) {
-        result.peak_overflow_allocation = ovf_total;
-      }
-
-      if (tele != nullptr) {
-        tele->Add(telemetry::Counter::kSlots);
-        tele->Add(telemetry::Counter::kSessionsTouched,
-                  stats.touched_session_slots - touched_before);
-        tele->Add(telemetry::Counter::kAllocChanges,
-                  result.local_changes - changes_before);
-        if (step_sampled) {
-          tele->Record(telemetry::Histo::kSlotStepNs,
-                       telemetry::MonotonicNowNs() - step_t0);
-        }
-      }
-
-      if (ckpt.every > 0 && (t + 1) % ckpt.every == 0) {
-        // Journal the checkpoint event before capturing the journal
-        // position so the recovery replay prefix ends with it.
-        tracer.Emit(TraceEventType::kCheckpoint, t, -1,
-                    util.TotalAllocatedRaw(), t + 1);
-        CheckpointMeta meta;
-        meta.kind = kMultiCheckpointKind;
-        meta.next_slot = t + 1;
-        if (tracer.sink() != nullptr) {
-          meta.trace_events = tracer.sink()->events_written();
-          meta.journal_bytes = tracer.sink()->bytes_written();
-        }
-        meta.committed_total_raw = util.TotalAllocatedRaw();
-        StateWriter& w = capture;
-        w.Clear();
-        meta.Save(w);
-        SaveEngineState(w, util, declared_total, shadow_regular_raw,
-                             shadow_overflow_raw, queue_hwm, result, stats);
-        w.Tag("SYS1");
-        system.SaveState(w);
-        w.Tag("CHN1");
-        w.Bool(churn != nullptr);
-        if (churn != nullptr) churn->SaveState(w);
-        PublishCheckpoint(ckpt, w.bytes());
-      }
-      if (t == ckpt.crash_at) throw CrashInjected(t);
+      slot = masked;
     }
+    Bits slot_in = 0;
+    for (const SessionArrival& a : slot) slot_in += a.bits;
+    stats.arrival_events += static_cast<std::int64_t>(slot.size());
+
+    const std::int64_t serves_before = ch.session_serves();
+    const std::int64_t visits_before = system.boundary_visits();
+    system.StepSparse(t, slot);
+    stats.session_serves += ch.session_serves() - serves_before;
+    stats.boundary_visits += system.boundary_visits() - visits_before;
+    if (full_sweep) CheckSlotInvariants(ch, system);
+
+    ch.DrainAllocDirty(&dirty);
+    if (t == 0) {
+      // First observation: initialize shadows, count no transitions.
+      for (std::int64_t i = 0; i < k; ++i) {
+        const auto idx = static_cast<std::size_t>(i);
+        shadow_regular_raw[idx] = ch.regular_bw(i).raw();
+        shadow_overflow_raw[idx] = ch.overflow_bw(i).raw();
+      }
+      stats.touched_session_slots += k;
+    } else {
+      std::sort(dirty.begin(), dirty.end());
+      stats.touched_session_slots += static_cast<std::int64_t>(dirty.size());
+      for (const std::int64_t i : dirty) {
+        const auto idx = static_cast<std::size_t>(i);
+        const std::int64_t reg = ch.regular_bw(i).raw();
+        if (reg != shadow_regular_raw[idx]) {
+          if (tracing) {
+            tracer.Emit(TraceEventType::kAllocChange, t, i,
+                        shadow_regular_raw[idx], reg, kChanRegular);
+          }
+          shadow_regular_raw[idx] = reg;
+          ++result.local_changes;
+        }
+        const std::int64_t ovf = ch.overflow_bw(i).raw();
+        if (ovf != shadow_overflow_raw[idx]) {
+          if (tracing) {
+            tracer.Emit(TraceEventType::kAllocChange, t, i,
+                        shadow_overflow_raw[idx], ovf, kChanOverflow);
+          }
+          shadow_overflow_raw[idx] = ovf;
+          ++result.local_changes;
+        }
+      }
+    }
+
+    const Bandwidth reg_total = ch.TotalRegular();
+    const Bandwidth ovf_total = ch.TotalOverflow();
+    const Bandwidth allocated =
+        system.ExtraAllocatedBandwidth() + reg_total + ovf_total;
+    if (tracing) {
+      tracer.Emit(TraceEventType::kSlotTick, t, -1, slot_in, ch.TotalQueued());
+      if (declared_total.initialized() &&
+          system.DeclaredTotalBandwidth() != declared_total.current()) {
+        tracer.Emit(TraceEventType::kAllocChange, t, -1,
+                    declared_total.current().raw(),
+                    system.DeclaredTotalBandwidth().raw(), kChanTotal);
+      }
+      const Bits queued = ch.TotalQueued() + system.ExtraQueuedBits();
+      if (queued > queue_hwm) {
+        queue_hwm = queued;
+        tracer.Emit(TraceEventType::kQueueHighWater, t, -1, queue_hwm);
+      }
+    }
+    declared_total.Observe(system.DeclaredTotalBandwidth());
+    util.Record(slot_in, allocated);
+
+    if (allocated > result.peak_total_allocation) {
+      result.peak_total_allocation = allocated;
+    }
+    if (reg_total > result.peak_regular_allocation) {
+      result.peak_regular_allocation = reg_total;
+    }
+    if (ovf_total > result.peak_overflow_allocation) {
+      result.peak_overflow_allocation = ovf_total;
+    }
+
+    if (tele != nullptr) {
+      tele->Add(telemetry::Counter::kSlots);
+      tele->Add(telemetry::Counter::kSessionsTouched,
+                stats.touched_session_slots - touched_before);
+      tele->Add(telemetry::Counter::kAllocChanges,
+                result.local_changes - changes_before);
+      if (step_sampled) {
+        tele->Record(telemetry::Histo::kSlotStepNs,
+                     telemetry::MonotonicNowNs() - step_t0);
+      }
+    }
+
+    if (ckpt.every > 0 && (t + 1) % ckpt.every == 0) {
+      CaptureCheckpoint(ckpt, tracer, kMultiCheckpointKind, t,
+                        util.TotalAllocatedRaw(), capture,
+                        [&](StateWriter& w) {
+                          SaveEngineState(w, util, declared_total,
+                                          shadow_regular_raw,
+                                          shadow_overflow_raw, queue_hwm,
+                                          result, stats);
+                          w.Tag("SYS1");
+                          system.SaveState(w);
+                          w.Tag("CHN1");
+                          w.Bool(churn != nullptr);
+                          if (churn != nullptr) churn->SaveState(w);
+                        });
+    }
+    if (t == ckpt.crash_at) throw CrashInjected(t);
   }
 
   result.total_arrivals = ch.total_arrivals();
@@ -425,7 +400,6 @@ MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
   result.total_allocated_bits = util.TotalAllocatedBits();
   result.total_allocated_raw = util.TotalAllocatedRaw();
   if (options.utilization_scan_window > 0) {
-    ScopedTimer scan_timer(options.profile, "engine_multi.util_scan");
     result.worst_best_window_utilization =
         util.WorstBestWindowUtilization(options.utilization_scan_window);
   }
@@ -434,11 +408,49 @@ MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
   return result;
 }
 
+}  // namespace
+
+MultiRunResult RunMultiSessionEvent(const SparseMultiTrace& sparse,
+                                    MultiSessionSystem& system,
+                                    const MultiEngineOptions& options) {
+  sparse.Validate();
+  BW_REQUIRE(sparse.sessions == system.channels().sessions(),
+             "RunMultiSessionEvent: trace sessions != system sessions");
+  return RunSlots(
+      sparse.horizon, [&](Time t) { return sparse.Slot(t); }, system,
+      options);
+}
+
 MultiRunResult RunMultiSessionEvent(
     const std::vector<std::vector<Bits>>& traces, MultiSessionSystem& system,
     const MultiEngineOptions& options) {
   return RunMultiSessionEvent(SparseMultiTrace::FromDense(traces), system,
                               options);
+}
+
+MultiAdaptiveRunResult RunAdaptiveMultiSession(
+    MultiAdaptiveAdversary& adversary, MultiSessionSystem& system,
+    Time horizon, const MultiEngineOptions& options) {
+  BW_REQUIRE(horizon >= 0, "RunAdaptiveMultiSession: negative horizon");
+  BW_REQUIRE(!options.checkpoint.enabled(),
+             "RunAdaptiveMultiSession: adversary state is not checkpointed");
+  const auto k = static_cast<std::size_t>(system.channels().sessions());
+  MultiAdaptiveRunResult result;
+  result.traces.assign(k, {});
+  std::vector<Bits> dense(k, 0);
+  std::vector<SessionArrival> sparse;
+  result.run = RunSlots(
+      horizon,
+      [&](Time t) {
+        adversary.NextArrivals(t, system.channels(), dense);
+        for (std::size_t i = 0; i < k; ++i) {
+          result.traces[i].push_back(dense[i]);
+        }
+        GatherNonzero(dense, sparse);
+        return std::span<const SessionArrival>(sparse);
+      },
+      system, options);
+  return result;
 }
 
 }  // namespace bwalloc

@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "obs/stopwatch.h"
 #include "obs/telemetry/shard.h"
 #include "obs/tracer.h"
 #include "sim/run_result.h"
@@ -188,7 +187,6 @@ struct MultiEngineOptions {
   Time drain_slots = 0;
   // Structured event tracing; also handed to the system via SetTracer.
   Tracer tracer;
-  PhaseProfile* profile = nullptr;
   // Filled by RunMultiSessionEvent when non-null.
   EventEngineStats* event_stats = nullptr;
   // Optional live telemetry shard (nondeterministic lane); also handed to

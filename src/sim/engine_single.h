@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/stopwatch.h"
 #include "obs/telemetry/shard.h"
 #include "obs/tracer.h"
 #include "sim/run_result.h"
@@ -64,8 +63,6 @@ struct SingleEngineOptions {
   // Structured event tracing. Default-constructed = disabled: the hot loop
   // pays one branch on the tracer's null sink and nothing else.
   Tracer tracer;
-  // Optional wall-clock phase profile (setup / loop / utilization scan).
-  PhaseProfile* profile = nullptr;
   // Optional live telemetry shard (nondeterministic lane: slot counters,
   // sampled slot-step latency). Null = no live metrics, zero hot-path cost
   // beyond one pointer test per slot.

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "obs/telemetry/hub.h"
+#include "util/assert.h"
 #include "util/json_writer.h"
 
 namespace bwalloc {
@@ -181,6 +182,49 @@ void PublishCheckpoint(const CheckpointOptions& options,
     options.telemetry->Add(telemetry::Counter::kCheckpoints);
     options.telemetry->Record(telemetry::Histo::kCheckpointPublishNs,
                               telemetry::MonotonicNowNs() - t0);
+  }
+}
+
+void CaptureCheckpoint(const CheckpointOptions& options, const Tracer& tracer,
+                       std::string_view kind, Time t,
+                       std::int64_t committed_total_raw, StateWriter& buffer,
+                       const std::function<void(StateWriter&)>& save_sections) {
+  tracer.Emit(TraceEventType::kCheckpoint, t, -1, committed_total_raw, t + 1);
+  CheckpointMeta meta;
+  meta.kind = kind;
+  meta.next_slot = t + 1;
+  if (tracer.sink() != nullptr) {
+    meta.trace_events = tracer.sink()->events_written();
+    meta.journal_bytes = tracer.sink()->bytes_written();
+  }
+  meta.committed_total_raw = committed_total_raw;
+  buffer.Clear();
+  meta.Save(buffer);
+  save_sections(buffer);
+  PublishCheckpoint(options, buffer.bytes());
+}
+
+Time ResumeCheckpoint(const std::string& blob, std::string_view kind,
+                      const char* engine, Time first_slot, Time horizon,
+                      const std::function<void(StateReader&)>& load_sections) {
+  const std::string payload = UnwrapCheckpoint(blob, "resume blob");
+  try {
+    StateReader r(payload);
+    CheckpointMeta meta;
+    meta.Load(r);
+    if (meta.kind != kind) {
+      Reject("resume blob", "kind is '" + meta.kind +
+                                "', this engine resumes '" +
+                                std::string(kind) + "' checkpoints");
+    }
+    BW_REQUIRE(meta.next_slot >= first_slot && meta.next_slot <= horizon,
+               std::string(engine) +
+                   ": checkpoint resume slot outside horizon");
+    load_sections(r);
+    r.ExpectEnd();
+    return meta.next_slot;
+  } catch (const StateFormatError& e) {
+    Reject("resume blob", e.what());
   }
 }
 

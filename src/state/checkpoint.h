@@ -17,20 +17,23 @@
 // checkpointing leaves either the previous checkpoint or a complete new
 // one, never a torn file at the published path.
 //
-// Every payload starts with a CheckpointMeta section written by the engine
-// that captured it: what kind of run it was, the slot to resume from, and
-// the trace-journal position (event count + byte offset) so the caller can
-// truncate the journal back to the exact capture point and replay it into
-// a fresh auditor. CheckpointDebugJson renders the envelope + meta as one
-// JSON object for `bwsim checkpoint-dump`.
+// Every payload starts with a CheckpointMeta section, which
+// CaptureCheckpoint writes for the engine that captured it: what kind of
+// run it was, the slot to resume from, and the trace-journal position
+// (event count + byte offset) so the caller can truncate the journal back
+// to the exact capture point and replay it into a fresh auditor.
+// CheckpointDebugJson renders the envelope + meta as one JSON object for
+// `bwsim checkpoint-dump`.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "obs/telemetry/shard.h"
+#include "obs/tracer.h"
 #include "state/serializer.h"
 #include "util/types.h"
 
@@ -146,5 +149,23 @@ struct CheckpointOptions {
 // options configure (the rolling <dir>/<stem>.ckpt file and/or *capture).
 void PublishCheckpoint(const CheckpointOptions& options,
                        std::string_view payload);
+
+// The capture/resume protocol both engines share. A capture after slot `t`
+// journals the kCheckpoint event *before* it reads the journal position,
+// so a recovering run's replayed prefix ends with that event; then it
+// writes the meta header and the engine's sections (`save_sections`) into
+// `buffer`, which the engine reuses from capture to capture, and publishes.
+void CaptureCheckpoint(const CheckpointOptions& options, const Tracer& tracer,
+                       std::string_view kind, Time t,
+                       std::int64_t committed_total_raw, StateWriter& buffer,
+                       const std::function<void(StateWriter&)>& save_sections);
+
+// Restores from `blob`, a wrapped checkpoint of `kind`, through
+// `load_sections` and returns the slot the run resumes at, which must lie
+// in [first_slot, horizon] (std::invalid_argument naming `engine`
+// otherwise). Trailing bytes and malformed sections are CheckpointErrors.
+Time ResumeCheckpoint(const std::string& blob, std::string_view kind,
+                      const char* engine, Time first_slot, Time horizon,
+                      const std::function<void(StateReader&)>& load_sections);
 
 }  // namespace bwalloc

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -27,11 +28,16 @@
 #include "core/admission.h"
 #include "core/multi_phased.h"
 #include "core/params.h"
+#include "core/single_session.h"
+#include "net/faults.h"
+#include "net/path.h"
 #include "sim/churn.h"
 #include "sim/engine_multi.h"
+#include "sim/engine_single.h"
 #include "state/checkpoint.h"
 #include "state/serializer.h"
 #include "traffic/arrivals.h"
+#include "traffic/workload_suite.h"
 
 namespace bwalloc {
 namespace {
@@ -410,15 +416,16 @@ TEST(PublishCheckpointTest, CaptureModeWrapsWithoutTouchingDisk) {
   EXPECT_EQ(UnwrapCheckpoint(blob, "capture"), "payload bytes");
 }
 
-// --- adversarial truncation sweep over a real churned checkpoint ------------
+// --- adversarial truncation sweep over real engine checkpoints -------------
 //
 // The blobs above are hand-built minimal payloads; a production checkpoint
 // of a churned multi-session run additionally carries the engine counters,
 // the system's state, and the ChurnDriver's CHN1 section (phase vector,
-// pending set, admission ledger). Every way of cutting or extending those
-// bytes must surface as a structured exception through the resume path —
-// CheckpointError or std::invalid_argument — never a crash, hang, or a
-// silently mis-restored run.
+// pending set, admission ledger), and a single-session one carries the
+// queue, the allocator and its signalling lane. Every way of cutting or
+// extending those bytes must surface as a structured exception through
+// either engine's resume path — CheckpointError or std::invalid_argument —
+// never a crash, hang, or a silently mis-restored run.
 
 // Runs a small churned workload to completion, capturing the last rolling
 // checkpoint blob the engine published.
@@ -452,9 +459,24 @@ std::string ChurnedCheckpointBlob() {
   return blob;
 }
 
-// Attempts to resume a fresh churned run from `blob`. Returns true iff the
-// resume path rejected it with a structured exception; a successful restore
-// from a tampered blob returns false and fails the sweep.
+// True iff `run` rejects its resume blob with a structured exception; a
+// successful restore from a tampered blob returns false and fails the
+// sweep. Anything unstructured propagates and fails the test.
+template <class Run>
+bool RejectsStructurally(Run run) {
+  try {
+    run();
+    return false;
+  } catch (const CheckpointError&) {
+    return true;
+  } catch (const StateFormatError&) {
+    return true;
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+}
+
+// Attempts to resume a fresh churned run from `blob`.
 bool ResumeRejectsStructurally(const std::string& blob) {
   ArrivalParams ap;
   ap.horizon = 200;
@@ -478,17 +500,66 @@ bool ResumeRejectsStructurally(const std::string& blob) {
   MultiEngineOptions opt;
   opt.churn = &driver;
   opt.checkpoint.resume = &blob;
-  try {
-    RunMultiSessionEvent(plan.MaterializeTraces(), system, opt);
-    return false;
-  } catch (const CheckpointError&) {
-    return true;
-  } catch (const StateFormatError&) {
-    return true;
-  } catch (const std::invalid_argument&) {
-    return true;
-  }
+  return RejectsStructurally(
+      [&] { RunMultiSessionEvent(plan.MaterializeTraces(), system, opt); });
 }
+
+// The single engine's counterpart: the online algorithm behind the
+// signalling adapter, so the payload carries the fault lane's state too.
+std::unique_ptr<SingleSessionAllocator> FaultedSingleAllocator() {
+  SingleSessionParams p;
+  p.max_bandwidth = 64;
+  p.max_delay = 16;
+  p.min_utilization = Ratio(1, 6);
+  p.window = 16;
+  FaultPlan plan;
+  plan.loss_rate = 0.1;
+  plan.denial_rate = 0.05;
+  plan.max_jitter = 1;
+  plan.seed = 5;
+  RobustOptions ropts;
+  ropts.fallback_bandwidth = p.max_bandwidth;
+  return std::make_unique<RobustSignalingAdapter>(
+      std::make_unique<SingleSessionOnline>(p),
+      NetworkPath::Uniform(2, 1, 1.0), plan, ropts);
+}
+
+std::vector<Bits> SingleCheckpointTrace() {
+  return SingleSessionWorkload("mixed", 64, 8, 300, 3);
+}
+
+std::string SingleCheckpointBlob() {
+  const std::unique_ptr<SingleSessionAllocator> alloc =
+      FaultedSingleAllocator();
+  SingleEngineOptions opt;
+  std::string blob;
+  opt.checkpoint.every = 64;
+  opt.checkpoint.capture = &blob;
+  RunSingleSession(SingleCheckpointTrace(), *alloc, opt);
+  EXPECT_FALSE(blob.empty());
+  return blob;
+}
+
+bool SingleResumeRejectsStructurally(const std::string& blob) {
+  const std::unique_ptr<SingleSessionAllocator> alloc =
+      FaultedSingleAllocator();
+  SingleEngineOptions opt;
+  opt.checkpoint.resume = &blob;
+  return RejectsStructurally(
+      [&] { RunSingleSession(SingleCheckpointTrace(), *alloc, opt); });
+}
+
+// Both engines resume through the same checkpoint protocol; the sweeps
+// below feed each its own real checkpoint.
+struct SweepInput {
+  const char* engine;
+  std::string (*blob)();
+  bool (*resume_rejects)(const std::string&);
+};
+const SweepInput kSweepInputs[] = {
+    {"multi", ChurnedCheckpointBlob, ResumeRejectsStructurally},
+    {"single", SingleCheckpointBlob, SingleResumeRejectsStructurally},
+};
 
 TEST(CheckpointTruncationSweep, EveryEnvelopeTruncationIsRejected) {
   const std::string blob = ChurnedCheckpointBlob();
@@ -519,17 +590,17 @@ TEST(CheckpointTruncationSweep, EveryPayloadTruncationFailsStructurally) {
   // parse inside the engine's resume path. Every cut must still fail with
   // a structured error — this is the layer where a lazy reader would run
   // off the end or mis-restore.
-  const std::string payload =
-      UnwrapCheckpoint(ChurnedCheckpointBlob(), "sweep");
-  std::mt19937_64 rng(0xBADC0DEu);
-  std::vector<std::size_t> cuts = {0, 1, 2, 3};
-  for (std::size_t i = 1; i <= 4; ++i) cuts.push_back(payload.size() - i);
-  for (int i = 0; i < 96; ++i) cuts.push_back(rng() % payload.size());
-  for (const std::size_t cut : cuts) {
-    EXPECT_TRUE(ResumeRejectsStructurally(WrapCheckpoint(
-        payload.substr(0, cut))))
-        << "payload truncated to " << cut << " of " << payload.size()
-        << " bytes restored without a structured error";
+  for (const SweepInput& input : kSweepInputs) {
+    const std::string payload = UnwrapCheckpoint(input.blob(), "sweep");
+    std::mt19937_64 rng(0xBADC0DEu);
+    std::vector<std::size_t> cuts = {0, 1, 2, 3};
+    for (std::size_t i = 1; i <= 4; ++i) cuts.push_back(payload.size() - i);
+    for (int i = 0; i < 96; ++i) cuts.push_back(rng() % payload.size());
+    for (const std::size_t cut : cuts) {
+      EXPECT_TRUE(input.resume_rejects(WrapCheckpoint(payload.substr(0, cut))))
+          << input.engine << " payload truncated to " << cut << " of "
+          << payload.size() << " bytes restored without a structured error";
+    }
   }
 }
 
@@ -560,27 +631,29 @@ TEST(CheckpointTruncationSweep, PayloadBitFlipsFailTheCrc) {
 }
 
 TEST(CheckpointTruncationSweep, GarbageTailsAndBitFlipsFailStructurally) {
-  const std::string payload =
-      UnwrapCheckpoint(ChurnedCheckpointBlob(), "sweep");
-  std::mt19937_64 rng(0x5EEDu);
-  // Trailing garbage after a complete payload: ExpectEnd must refuse it.
-  for (const std::size_t extra : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{256}}) {
-    std::string tail(extra, '\0');
-    for (char& c : tail) c = static_cast<char>(rng());
-    EXPECT_TRUE(ResumeRejectsStructurally(WrapCheckpoint(payload + tail)))
-        << extra << " garbage tail bytes restored without an error";
-  }
-  // Single-byte corruptions under a re-computed (valid) CRC. Most flips
-  // land in value bytes and restore to a *different but well-formed* state
-  // — that is the CRC's job to catch, not the reader's, so only reject
-  // claims that throw something unstructured (the try/catch in
-  // ResumeRejectsStructurally would rethrow and abort the test).
-  for (int i = 0; i < 64; ++i) {
-    std::string bent = payload;
-    const std::size_t at = rng() % bent.size();
-    bent[at] = static_cast<char>(bent[at] ^ (1 << (rng() % 8u)));
-    (void)ResumeRejectsStructurally(WrapCheckpoint(bent));
+  for (const SweepInput& input : kSweepInputs) {
+    const std::string payload = UnwrapCheckpoint(input.blob(), "sweep");
+    std::mt19937_64 rng(0x5EEDu);
+    // Trailing garbage after a complete payload: ExpectEnd must refuse it.
+    for (const std::size_t extra : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{256}}) {
+      std::string tail(extra, '\0');
+      for (char& c : tail) c = static_cast<char>(rng());
+      EXPECT_TRUE(input.resume_rejects(WrapCheckpoint(payload + tail)))
+          << input.engine << ": " << extra
+          << " garbage tail bytes restored without an error";
+    }
+    // Single-byte corruptions under a re-computed (valid) CRC. Most flips
+    // land in value bytes and restore to a *different but well-formed*
+    // state — that is the CRC's job to catch, not the reader's, so only
+    // reject claims that throw something unstructured (RejectsStructurally
+    // lets it propagate and fail the test).
+    for (int i = 0; i < 64; ++i) {
+      std::string bent = payload;
+      const std::size_t at = rng() % bent.size();
+      bent[at] = static_cast<char>(bent[at] ^ (1 << (rng() % 8u)));
+      (void)input.resume_rejects(WrapCheckpoint(bent));
+    }
   }
 }
 

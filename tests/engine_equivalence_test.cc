@@ -13,7 +13,10 @@
 // inner variant), every multi-session workload shape, fault-free and
 // faulted control planes, and multiple ParallelSweep --jobs values. The
 // full-sweep runs also re-check the channel aggregates and bit
-// conservation against a recount every slot (in the engine).
+// conservation against a recount every slot (in the engine). Adaptive
+// adversaries feed the same slot loops, so their pruned runs are held to
+// the full sweep too, and the instance an adversary generated replays
+// through the trace entry point to the same result bytes.
 //
 // The negative control proves the gate has teeth: a run whose scheduled
 // wakeups (phase boundaries, REDUCE leases) fire one slot late — armed
@@ -30,24 +33,29 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/json.h"
 #include "core/admission.h"
 #include "core/combined.h"
 #include "core/multi_continuous.h"
 #include "core/multi_phased.h"
 #include "core/params.h"
+#include "core/single_session.h"
 #include "net/multi_faults.h"
 #include "net/path.h"
 #include "obs/audit/auditor.h"
 #include "obs/trace_sink.h"
 #include "obs/tracer.h"
 #include "runner/parallel_sweep.h"
+#include "sim/adaptive.h"
 #include "sim/churn.h"
 #include "sim/engine_multi.h"
 #include "state/checkpoint.h"
+#include "traffic/adversaries.h"
 #include "traffic/arrivals.h"
 #include "traffic/sparse_bursts.h"
 #include "traffic/workload_suite.h"
 #include "util/fixed_point.h"
+#include "util/ratio.h"
 #include "util/types.h"
 
 namespace bwalloc {
@@ -740,6 +748,119 @@ TEST(EngineEquivalence, WorkCountersArePinned) {
   }
   EXPECT_EQ(full.session_serves,
             p.sessions * (bp.horizon + 8 * p.offline_delay));
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive adversaries run through the same slot loops: an adversary is
+// one more arrival source, so its runs obey the same pruning gate and the
+// recorded instance replays to the same result through the trace source.
+// ---------------------------------------------------------------------------
+
+MultiSessionParams HunterParams(std::int64_t k) {
+  MultiSessionParams p;
+  p.sessions = k;
+  p.offline_bandwidth = 16 * k;
+  p.offline_delay = 8;
+  return p;
+}
+
+SingleSessionParams PumpParams() {
+  SingleSessionParams p;
+  p.max_bandwidth = 128;
+  p.max_delay = 16;
+  p.min_utilization = Ratio(1, 6);
+  p.window = 16;
+  return p;
+}
+
+struct HunterRun {
+  std::string result_json;
+  std::vector<std::vector<Bits>> traces;
+  std::string trace_ndjson;
+};
+
+HunterRun RunHunter(std::int64_t k, Mode mode) {
+  const MultiSessionParams p = HunterParams(k);
+  PhasedMulti sys(p);
+  if (mode == Mode::kFullSweep) sys.FullSweepForTest();
+  ShareHunterAdversary adversary(p.offline_bandwidth, p.offline_delay);
+  BufferTraceSink sink;
+  MultiEngineOptions opt;
+  opt.drain_slots = 32;
+  opt.tracer = Tracer(&sink, kAllEvents, {"eq", 0});
+  const MultiAdaptiveRunResult r =
+      RunAdaptiveMultiSession(adversary, sys, 1500, opt);
+  return {ToJson(r.run), r.traces, sink.ToNdjson()};
+}
+
+TEST(EngineEquivalenceAdaptive, ShareHunterPrunedMatchesFullSweep) {
+  for (const std::int64_t k : {2, 5, 8}) {
+    const HunterRun full = RunHunter(k, Mode::kFullSweep);
+    const HunterRun pruned = RunHunter(k, Mode::kPruned);
+    EXPECT_EQ(full.result_json, pruned.result_json) << "k=" << k;
+    EXPECT_EQ(full.traces, pruned.traces) << "k=" << k;
+    EXPECT_EQ(full.trace_ndjson, pruned.trace_ndjson) << "k=" << k;
+  }
+}
+
+TEST(EngineEquivalenceAdaptive, ReplayedLadderPumpTraceReproducesTheRun) {
+  const SingleSessionParams p = PumpParams();
+  SingleEngineOptions opt;
+  opt.drain_slots = 32;
+  for (const auto variant : {SingleSessionOnline::Variant::kBase,
+                             SingleSessionOnline::Variant::kModified}) {
+    LadderPumpAdversary adversary(p.max_bandwidth, p.max_delay / 2);
+    SingleSessionOnline online(p, variant);
+    const AdaptiveRunResult r =
+        RunAdaptiveSingleSession(adversary, online, 3000, opt);
+    ASSERT_GT(r.run.stages, 0);
+    SingleSessionOnline replay(p, variant);
+    EXPECT_EQ(ToJson(RunSingleSession(r.trace, replay, opt)), ToJson(r.run));
+  }
+}
+
+TEST(EngineEquivalenceAdaptive, ReplayedShareHunterTraceReproducesTheRun) {
+  const MultiSessionParams p = HunterParams(6);
+  PhasedMulti sys(p);
+  ShareHunterAdversary adversary(p.offline_bandwidth, p.offline_delay);
+  MultiEngineOptions opt;
+  opt.drain_slots = 32;
+  const MultiAdaptiveRunResult r =
+      RunAdaptiveMultiSession(adversary, sys, 3000, opt);
+  ASSERT_GT(r.run.stages, 0);
+  PhasedMulti replay(p);
+  EXPECT_EQ(ToJson(RunMultiSessionEvent(r.traces, replay, opt)),
+            ToJson(r.run));
+}
+
+// The adversaries' state is not checkpointed, so an adaptive run refuses
+// to capture or resume rather than produce a checkpoint it cannot resume.
+TEST(EngineEquivalenceAdaptive, CheckpointOptionsAreRefused) {
+  const std::string blob = "never read";
+  for (const bool resume : {false, true}) {
+    CheckpointOptions ckpt;
+    if (resume) {
+      ckpt.resume = &blob;
+    } else {
+      ckpt.every = 10;
+    }
+    SingleEngineOptions single_opt;
+    single_opt.checkpoint = ckpt;
+    LadderPumpAdversary pump(64, 8);
+    SingleSessionOnline online(PumpParams());
+    EXPECT_THROW(RunAdaptiveSingleSession(pump, online, 100, single_opt),
+                 std::invalid_argument)
+        << "resume=" << resume;
+
+    MultiEngineOptions multi_opt;
+    multi_opt.checkpoint = ckpt;
+    const MultiSessionParams p = HunterParams(4);
+    PhasedMulti sys(p);
+    ShareHunterAdversary hunter(p.offline_bandwidth, p.offline_delay);
+    EXPECT_THROW(RunAdaptiveMultiSession(hunter, sys, 100, multi_opt),
+                 std::invalid_argument)
+        << "resume=" << resume;
+  }
 }
 
 TEST(SparseMultiTraceTest, FromDenseDropsZerosExactly) {

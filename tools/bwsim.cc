@@ -84,8 +84,8 @@
 //   single/multi: [--trace-out events.ndjson] [--trace-events all]
 //                 [--profile false]
 // --trace-events takes a comma list of event names or groups (all, slot,
-// stage, alloc, queue, phase, signal). --profile prints wall-clock phase
-// timings to stderr (nondeterministic, never part of the trace).
+// stage, alloc, queue, phase, signal). --profile prints the engine call's
+// wall-clock time to stderr (nondeterministic, never part of the trace).
 //
 // Crash tolerance (`single` and `multi`):
 //   [--checkpoint-every N] [--checkpoint-dir DIR] — capture the full
@@ -537,9 +537,6 @@ int RunSingle(Flags& flags) {
       online->SetObserver(&stage_observer);
     }
   }
-  PhaseProfile profile;
-  if (print_profile) opt.profile = &profile;
-
   RobustSignalingAdapter* robust = nullptr;
   if (hops > 0) {
     auto adapter = std::make_unique<RobustSignalingAdapter>(
@@ -575,7 +572,9 @@ int RunSingle(Flags& flags) {
     return monitor->MergeExitCode(code);
   };
   SingleRunResult r;
+  PhaseProfile profile;
   try {
+    ScopedTimer timer(print_profile ? &profile : nullptr, "engine_single");
     r = RunSingleSession(trace, *alloc, opt);
   } catch (const CrashInjected& e) {
     // A real crash leaves a torn journal behind; the injected one does
@@ -830,8 +829,6 @@ int RunMulti(Flags& flags) {
                             : static_cast<TraceSink*>(&sink);
     opt.tracer = Tracer(dest, ParseEventsFlag(trace_events), {"multi", 0});
   }
-  PhaseProfile profile;
-  if (print_profile) opt.profile = &profile;
   opt.checkpoint = ckpt_cli.options;
   if (!ckpt_cli.resume_blob.empty()) {
     ReplayJournalPrefix(ckpt_cli, kMultiCheckpointKind, trace_out,
@@ -859,7 +856,9 @@ int RunMulti(Flags& flags) {
     return monitor->MergeExitCode(code);
   };
   MultiRunResult r;
+  PhaseProfile profile;
   try {
+    ScopedTimer timer(print_profile ? &profile : nullptr, "engine_multi");
     r = RunMultiSessionEvent(traces, *sys, opt);
   } catch (const CrashInjected& e) {
     if (!trace_out.empty()) WriteTraceFile(trace_out, sink.ToNdjson());
